@@ -11,7 +11,9 @@ import os
 import sys
 
 from .errors import ConfigError, DataError
+from .metrics import CorrelationResult
 from .report import (
+    CONFIG_FIELDS,
     RunConfig,
     config_from_mapping,
     correlate_summary,
@@ -38,23 +40,16 @@ def _build_parser() -> _Parser:
     explain = sub.add_parser(
         "explain", help="profile one dataset's features over its Rashomon set"
     )
-    explain.add_argument("--data", help="input CSV path")
-    explain.add_argument("--target", help="target column name")
-    explain.add_argument("--feature", action="append", default=None,
-                         help="feature to profile (repeatable; default: all)")
+    for f in CONFIG_FIELDS:
+        if f.key == "features":
+            explain.add_argument("--feature", dest=f.key, metavar="FEATURE",
+                                 action="append", help=f.help)
+        else:
+            explain.add_argument("--" + f.key.replace("_", "-"), dest=f.key, help=f.help)
     explain.add_argument("--config", help="flat key-value config file")
-    explain.add_argument("--epsilon", type=float, default=None)
-    explain.add_argument("--max-models", type=int, default=None)
-    explain.add_argument("--max-runtime-secs", type=float, default=None)
-    explain.add_argument("--test-fraction", type=float, default=None)
-    explain.add_argument("--grid", type=int, default=None)
-    explain.add_argument("--bootstrap", type=int, default=None)
-    explain.add_argument("--alpha", type=float, default=None)
-    explain.add_argument("--seed", type=int, default=None)
     explain.add_argument("--workers", type=int, default=1)
     explain.add_argument("--save-pool", help="write the trained pool archive here")
     explain.add_argument("--load-pool", help="reuse a saved pool archive instead of training")
-    explain.add_argument("--out", help="output directory")
 
     suite = sub.add_parser("suite", help="run several datasets and correlate the results")
     suite.add_argument("--configs", required=True,
@@ -78,31 +73,10 @@ def _explain_config(args: argparse.Namespace) -> RunConfig:
             base_dir=os.path.dirname(os.path.abspath(args.config)),
             defaults=cfg,
         )
-    overrides: dict[str, str] = {}
-    if args.data is not None:
-        overrides["data"] = args.data
-    if args.target is not None:
-        overrides["target"] = args.target
-    if args.feature:
-        overrides["features"] = ",".join(args.feature)
-    if args.epsilon is not None:
-        overrides["epsilon"] = str(args.epsilon)
-    if args.max_models is not None:
-        overrides["max_models"] = str(args.max_models)
-    if args.max_runtime_secs is not None:
-        overrides["max_runtime_secs"] = str(args.max_runtime_secs)
-    if args.test_fraction is not None:
-        overrides["test_fraction"] = str(args.test_fraction)
-    if args.grid is not None:
-        overrides["grid"] = str(args.grid)
-    if args.bootstrap is not None:
-        overrides["bootstrap"] = str(args.bootstrap)
-    if args.alpha is not None:
-        overrides["alpha"] = str(args.alpha)
-    if args.seed is not None:
-        overrides["seed"] = str(args.seed)
-    if args.out is not None:
-        overrides["out"] = args.out
+    overrides = {f.key: getattr(args, f.key) for f in CONFIG_FIELDS
+                 if getattr(args, f.key) is not None}
+    if "features" in overrides:
+        overrides["features"] = ",".join(overrides["features"])
     cfg = config_from_mapping(overrides, defaults=cfg)
     if not cfg.data_path:
         raise ConfigError("--data is required (flag or config file)")
@@ -136,7 +110,14 @@ def _read_suite_configs(path: str) -> list[RunConfig]:
     return configs
 
 
+def _print_correlation(c: CorrelationResult) -> None:
+    print(f"spearman rho={c.rho:.4f} ci=[{c.ci_lo:.4f}, {c.ci_hi:.4f}] "
+          f"p={c.p_value:.4g} n={c.n_pairs}")
+
+
 def _run(args: argparse.Namespace) -> int:
+    if getattr(args, "workers", 1) < 1:
+        raise ConfigError(f"--workers must be >= 1, got {args.workers}")
     if args.command == "explain":
         cfg = _explain_config(args)
         row, _ = run_dataset(cfg, workers=args.workers,
@@ -154,15 +135,10 @@ def _run(args: argparse.Namespace) -> int:
         for warning in warnings:
             print(f"warning: {warning}", file=sys.stderr)
         if correlation is not None:
-            print(f"spearman rho={correlation.rho:.4f} "
-                  f"ci=[{correlation.ci_lo:.4f}, {correlation.ci_hi:.4f}] "
-                  f"p={correlation.p_value:.4g} n={correlation.n_pairs}")
+            _print_correlation(correlation)
         return EXIT_OK
     if args.command == "correlate":
-        correlation = correlate_summary(args.summary, args.out)
-        print(f"spearman rho={correlation.rho:.4f} "
-              f"ci=[{correlation.ci_lo:.4f}, {correlation.ci_hi:.4f}] "
-              f"p={correlation.p_value:.4g} n={correlation.n_pairs}")
+        _print_correlation(correlate_summary(args.summary, args.out))
         return EXIT_OK
     raise ConfigError(f"unknown command {args.command!r}")
 

@@ -5,30 +5,12 @@ from __future__ import annotations
 import json
 import os
 
-from .boosting import GradientBoostingRegression
-from .forest import RandomForestRegression
-from .knn import KNearestNeighborsRegression
-from .linear import RidgeRegression
-from .pool import (
-    DECISION_TREE,
-    GRADIENT_BOOSTING,
-    K_NEAREST_NEIGHBORS,
-    LINEAR_RIDGE,
-    RANDOM_FOREST,
-    TrainedModel,
-)
-from .tree import RegressionTree
+from .pool import REGISTRY, TrainedModel
 
 ARCHIVE_FORMAT = "rashpdp-pool"
 ARCHIVE_VERSION = 1
 
-_FAMILY_CLASSES = {
-    LINEAR_RIDGE: RidgeRegression,
-    DECISION_TREE: RegressionTree,
-    RANDOM_FOREST: RandomForestRegression,
-    GRADIENT_BOOSTING: GradientBoostingRegression,
-    K_NEAREST_NEIGHBORS: KNearestNeighborsRegression,
-}
+_MODEL_KEYS = ("id", "family", "hyperparameters", "score", "state")
 
 
 def save_pool(pool: list[TrainedModel], path: str | os.PathLike[str]) -> None:
@@ -62,18 +44,22 @@ def load_pool(path: str | os.PathLike[str]) -> list[TrainedModel]:
             f"unsupported pool archive version {payload.get('version')!r} "
             f"(expected {ARCHIVE_VERSION})"
         )
+    if "models" not in payload:
+        raise ValueError(f"pool archive {path} is missing key 'models'")
     pool = []
-    for entry in payload["models"]:
+    for index, entry in enumerate(payload["models"]):
+        for key in _MODEL_KEYS:
+            if key not in entry:
+                raise ValueError(f"pool archive {path}: model {index} is missing key '{key}'")
         family = entry["family"]
-        if family not in _FAMILY_CLASSES:
+        if family not in REGISTRY:
             raise ValueError(f"unknown model family '{family}' in archive {path}")
-        predictor = _FAMILY_CLASSES[family].from_state(entry["state"])
         pool.append(
             TrainedModel(
                 id=int(entry["id"]),
                 family=family,
                 hyperparameters=dict(entry["hyperparameters"]),
-                predictor=predictor,
+                predictor=REGISTRY[family].model_class.from_state(entry["state"]),
                 score=float(entry["score"]),
             )
         )

@@ -5,7 +5,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, Callable
 
 import numpy as np
 
@@ -22,15 +22,46 @@ RANDOM_FOREST = "RandomForest"
 GRADIENT_BOOSTING = "GradientBoosting"
 K_NEAREST_NEIGHBORS = "KNearestNeighbors"
 
+
+@dataclass(frozen=True)
+class Family:
+    """One searched model family. `sample(rng)` draws its hyperparameters, in
+    an order that is part of the pool's seed contract; `build(hp, n_train,
+    fit_seed)` returns the unfitted model; `model_class.from_state` restores
+    an archived one."""
+
+    name: str
+    model_class: type
+    sample: Callable[[np.random.Generator], dict[str, Any]]
+    build: Callable[[dict[str, Any], int, int], Any]
+
+
 # Training cycles through families in this fixed order, so any pool of five
-# or more models contains every family.
-FAMILIES = (
-    LINEAR_RIDGE,
-    DECISION_TREE,
-    RANDOM_FOREST,
-    GRADIENT_BOOSTING,
-    K_NEAREST_NEIGHBORS,
-)
+# or more models contains every family. Dict displays draw left to right.
+REGISTRY = {family.name: family for family in (
+    Family(LINEAR_RIDGE, RidgeRegression,
+           lambda rng: {"alpha": float(10.0 ** rng.uniform(-6.0, 1.0))},
+           lambda hp, n_train, fit_seed: RidgeRegression(**hp)),
+    Family(DECISION_TREE, RegressionTree,
+           lambda rng: {"max_depth": int(rng.integers(2, 13)),
+                        "min_samples_leaf": int(rng.integers(1, 21))},
+           lambda hp, n_train, fit_seed: RegressionTree(**hp)),
+    Family(RANDOM_FOREST, RandomForestRegression,
+           lambda rng: {"n_estimators": int(rng.integers(50, 301)),
+                        "max_features": str(rng.choice(["sqrt", "third"]))},
+           lambda hp, n_train, fit_seed: RandomForestRegression(**hp, seed=fit_seed)),
+    Family(GRADIENT_BOOSTING, GradientBoostingRegression,
+           lambda rng: {"n_estimators": int(rng.integers(50, 501)),
+                        "learning_rate": float(rng.uniform(0.01, 0.3)),
+                        "max_depth": int(rng.integers(2, 7))},
+           lambda hp, n_train, fit_seed: GradientBoostingRegression(**hp)),
+    Family(K_NEAREST_NEIGHBORS, KNearestNeighborsRegression,
+           lambda rng: {"n_neighbors": int(rng.integers(3, 26)),
+                        "weights": str(rng.choice(["uniform", "inverse_distance"]))},
+           lambda hp, n_train, fit_seed: KNearestNeighborsRegression(
+               n_neighbors=min(hp["n_neighbors"], n_train), weights=hp["weights"])),
+)}
+FAMILIES = tuple(REGISTRY)
 
 DEFAULT_MAX_MODELS = 20
 DEFAULT_MAX_RUNTIME_SECS = 360.0
@@ -103,58 +134,6 @@ def predict_batch(model: TrainedModel, rows: np.ndarray) -> np.ndarray:
     return out
 
 
-def _draw_hyperparameters(family: str, rng: np.random.Generator) -> dict[str, Any]:
-    if family == LINEAR_RIDGE:
-        return {"alpha": float(10.0 ** rng.uniform(-6.0, 1.0))}
-    if family == DECISION_TREE:
-        return {
-            "max_depth": int(rng.integers(2, 13)),
-            "min_samples_leaf": int(rng.integers(1, 21)),
-        }
-    if family == RANDOM_FOREST:
-        return {
-            "n_estimators": int(rng.integers(50, 301)),
-            "max_features": str(rng.choice(["sqrt", "third"])),
-        }
-    if family == GRADIENT_BOOSTING:
-        return {
-            "n_estimators": int(rng.integers(50, 501)),
-            "learning_rate": float(rng.uniform(0.01, 0.3)),
-            "max_depth": int(rng.integers(2, 7)),
-        }
-    if family == K_NEAREST_NEIGHBORS:
-        return {
-            "n_neighbors": int(rng.integers(3, 26)),
-            "weights": str(rng.choice(["uniform", "inverse_distance"])),
-        }
-    raise ValueError(f"unknown model family '{family}'")
-
-
-def _fit_family(family: str, hp: dict[str, Any], X: np.ndarray, y: np.ndarray,
-                fit_seed: int) -> Any:
-    if family == LINEAR_RIDGE:
-        return RidgeRegression(alpha=hp["alpha"]).fit(X, y)
-    if family == DECISION_TREE:
-        return RegressionTree(
-            max_depth=hp["max_depth"], min_samples_leaf=hp["min_samples_leaf"]
-        ).fit(X, y)
-    if family == RANDOM_FOREST:
-        return RandomForestRegression(
-            n_estimators=hp["n_estimators"], max_features=hp["max_features"], seed=fit_seed
-        ).fit(X, y)
-    if family == GRADIENT_BOOSTING:
-        return GradientBoostingRegression(
-            n_estimators=hp["n_estimators"],
-            learning_rate=hp["learning_rate"],
-            max_depth=hp["max_depth"],
-        ).fit(X, y)
-    if family == K_NEAREST_NEIGHBORS:
-        return KNearestNeighborsRegression(
-            n_neighbors=min(hp["n_neighbors"], X.shape[0]), weights=hp["weights"]
-        ).fit(X, y)
-    raise ValueError(f"unknown model family '{family}'")
-
-
 def train_pool(ds: Dataset, sp: Split, budget: SearchBudget) -> list[TrainedModel]:
     """Train up to `budget.max_models` models under the wall-clock cap.
 
@@ -177,14 +156,14 @@ def train_pool(ds: Dataset, sp: Split, budget: SearchBudget) -> list[TrainedMode
         if not math.isinf(budget.max_runtime_secs):
             if time.monotonic() - started > budget.max_runtime_secs:
                 break
-        family = FAMILIES[i % len(FAMILIES)]
+        family = REGISTRY[FAMILIES[i % len(FAMILIES)]]
         rng = np.random.default_rng(np.random.SeedSequence(budget.seed, spawn_key=(i,)))
-        hp = _draw_hyperparameters(family, rng)
+        hp = family.sample(rng)
         fit_seed = int(rng.integers(0, 2**63))
-        predictor = _fit_family(family, hp, X_train, y_train, fit_seed)
+        predictor = family.build(hp, X_train.shape[0], fit_seed).fit(X_train, y_train)
         score = rmse(predictor.predict_many(X_test), y_test)
         pool.append(
-            TrainedModel(id=i, family=family, hyperparameters=hp,
+            TrainedModel(id=i, family=family.name, hyperparameters=hp,
                          predictor=predictor, score=score)
         )
     if not pool:

@@ -7,7 +7,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
 
 from .pdp import RashomonPdpResult
 
@@ -71,6 +70,17 @@ def compute_metrics(result: RashomonPdpResult, rss: int) -> ExplanationMetrics:
     )
 
 
+def _mid_ranks(values: np.ndarray) -> np.ndarray:
+    """1-based ranks; tied values share the mean of the ranks they span."""
+    order = np.argsort(values, kind="mergesort")
+    sorted_values = values[order]
+    starts = np.r_[True, sorted_values[1:] != sorted_values[:-1]]
+    group = np.empty(values.size, dtype=np.intp)
+    group[order] = np.cumsum(starts)
+    bounds = np.r_[np.flatnonzero(starts), values.size]
+    return 0.5 * (bounds[group] + bounds[group - 1] + 1)
+
+
 def spearman(xs: np.ndarray, ys: np.ndarray) -> CorrelationResult:
     """Spearman rank correlation with mid-ranks for ties.
 
@@ -79,6 +89,9 @@ def spearman(xs: np.ndarray, ys: np.ndarray) -> CorrelationResult:
     1.03/sqrt(n-3); the two-sided p-value from the t-approximation
     t = rho*sqrt((n-2)/(1-rho^2)) on n-2 degrees of freedom.
     """
+    # Imported here so `explain` never loads scipy; scipy.stats, which has
+    # the same functions, takes about a second to import.
+    from scipy.special import ndtri, stdtr
     xs = np.asarray(xs, dtype=np.float64)
     ys = np.asarray(ys, dtype=np.float64)
     if xs.ndim != 1 or xs.shape != ys.shape:
@@ -91,8 +104,8 @@ def spearman(xs: np.ndarray, ys: np.ndarray) -> CorrelationResult:
     if np.all(xs == xs[0]) or np.all(ys == ys[0]):
         raise ValueError("correlation is undefined for a constant input vector")
 
-    rank_x = stats.rankdata(xs, method="average")
-    rank_y = stats.rankdata(ys, method="average")
+    rank_x = _mid_ranks(xs)
+    rank_y = _mid_ranks(ys)
     if np.array_equal(rank_x, rank_y):
         rho = 1.0
     elif np.array_equal(rank_y, (n + 1) - rank_x):
@@ -106,11 +119,11 @@ def spearman(xs: np.ndarray, ys: np.ndarray) -> CorrelationResult:
 
     z = math.atanh(rho)
     se = FISHER_Z_SE_FACTOR / math.sqrt(n - 3)
-    z_crit = float(stats.norm.ppf(0.975))
+    z_crit = float(ndtri(0.975))
     ci_lo = math.tanh(z - z_crit * se)
     ci_hi = math.tanh(z + z_crit * se)
 
     t = rho * math.sqrt((n - 2) / (1.0 - rho * rho))
-    p_value = float(2.0 * stats.t.sf(abs(t), df=n - 2))
+    p_value = float(2.0 * stdtr(n - 2, -abs(t)))
     return CorrelationResult(rho=rho, ci_lo=ci_lo, ci_hi=ci_hi,
                              p_value=min(p_value, 1.0), n_pairs=n)

@@ -6,15 +6,16 @@ import csv
 import json
 import os
 import re
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
+from typing import Any, Callable, NamedTuple
 
-from .data import load_csv, split
+from .data import DEFAULT_GRID_SIZE, DEFAULT_TEST_FRACTION, load_csv, split
 from .errors import ConfigError, DataError
 from .learners.archive import load_pool, save_pool
-from .learners.pool import SearchBudget, train_pool
+from .learners.pool import DEFAULT_MAX_MODELS, DEFAULT_MAX_RUNTIME_SECS, SearchBudget, train_pool
 from .metrics import CorrelationResult, compute_metrics, spearman
-from .pdp import rashomon_profile, write_profile_csv
-from .rashomon import form_set
+from .pdp import DEFAULT_ALPHA, DEFAULT_BOOTSTRAP_COUNT, rashomon_profile, write_profile_csv
+from .rashomon import DEFAULT_EPSILON, form_set
 from .seeding import ROLE_POOL, ROLE_SPLIT, derive_seed
 from .svgplot import emit_svg
 
@@ -30,13 +31,13 @@ class RunConfig:
     data_path: str
     target_column: str
     features: tuple[str, ...] = ()
-    epsilon: float = 0.05
-    max_models: int = 20
-    max_runtime_secs: float = 360.0
-    test_fraction: float = 0.25
-    grid_size: int = 20
-    n_boot: int = 1000
-    alpha: float = 0.05
+    epsilon: float = DEFAULT_EPSILON
+    max_models: int = DEFAULT_MAX_MODELS
+    max_runtime_secs: float = DEFAULT_MAX_RUNTIME_SECS
+    test_fraction: float = DEFAULT_TEST_FRACTION
+    grid_size: int = DEFAULT_GRID_SIZE
+    n_boot: int = DEFAULT_BOOTSTRAP_COUNT
+    alpha: float = DEFAULT_ALPHA
     seed: int = 42
     out_dir: str = ""
 
@@ -88,9 +89,41 @@ class SuiteSummaryRow:
 # ---------------------------------------------------------------------------
 # config files and echo
 
-_CONFIG_KEYS = (
-    "data", "target", "features", "epsilon", "max_models", "max_runtime_secs",
-    "test_fraction", "grid", "bootstrap", "alpha", "seed", "out",
+def _path(text: str) -> str:
+    """Parser of path values; config_from_mapping resolves relative ones."""
+    return text
+
+
+def _names(text: str) -> tuple[str, ...]:
+    return tuple(s.strip() for s in text.split(",") if s.strip())
+
+
+class ConfigField(NamedTuple):
+    """One run-config key: its name in config files, `config.echo` and
+    metrics.json, the RunConfig field it sets, and the parser of its text.
+    `explain` takes it as `--<key>` with '-' for '_' (features: `--feature`,
+    repeatable)."""
+
+    key: str
+    attr: str
+    parse: Callable[[str], Any]
+    help: str | None = None
+
+
+CONFIG_FIELDS = (
+    ConfigField("data", "data_path", _path, "input CSV path"),
+    ConfigField("target", "target_column", str, "target column name"),
+    ConfigField("features", "features", _names,
+                "feature to profile (repeatable; default: all)"),
+    ConfigField("epsilon", "epsilon", float),
+    ConfigField("max_models", "max_models", int),
+    ConfigField("max_runtime_secs", "max_runtime_secs", float),
+    ConfigField("test_fraction", "test_fraction", float),
+    ConfigField("grid", "grid_size", int),
+    ConfigField("bootstrap", "n_boot", int),
+    ConfigField("alpha", "alpha", float),
+    ConfigField("seed", "seed", int),
+    ConfigField("out", "out_dir", _path, "output directory"),
 )
 
 
@@ -109,7 +142,7 @@ def parse_config_file(path: str | os.PathLike[str]) -> dict[str, str]:
                 raise ConfigError(f"{path}:{lineno}: expected 'key = value', got '{text}'")
             key, _, value = text.partition("=")
             key = key.strip()
-            if key not in _CONFIG_KEYS:
+            if key not in {f.key for f in CONFIG_FIELDS}:
                 raise ConfigError(f"{path}:{lineno}: unknown config key '{key}'")
             values[key] = value.strip()
     return values
@@ -121,76 +154,32 @@ def config_from_mapping(values: dict[str, str], base_dir: str = "",
     `base_dir`. Unset keys fall back to `defaults`."""
     cfg = defaults if defaults is not None else RunConfig(data_path="", target_column="")
 
-    def resolve(p: str) -> str:
-        return p if os.path.isabs(p) or not base_dir else os.path.join(base_dir, p)
-
     updates: dict[str, object] = {}
-    try:
-        if "data" in values:
-            updates["data_path"] = resolve(values["data"])
-        if "target" in values:
-            updates["target_column"] = values["target"]
-        if "features" in values:
-            updates["features"] = tuple(
-                s.strip() for s in values["features"].split(",") if s.strip()
-            )
-        if "epsilon" in values:
-            updates["epsilon"] = float(values["epsilon"])
-        if "max_models" in values:
-            updates["max_models"] = int(values["max_models"])
-        if "max_runtime_secs" in values:
-            updates["max_runtime_secs"] = float(values["max_runtime_secs"])
-        if "test_fraction" in values:
-            updates["test_fraction"] = float(values["test_fraction"])
-        if "grid" in values:
-            updates["grid_size"] = int(values["grid"])
-        if "bootstrap" in values:
-            updates["n_boot"] = int(values["bootstrap"])
-        if "alpha" in values:
-            updates["alpha"] = float(values["alpha"])
-        if "seed" in values:
-            updates["seed"] = int(values["seed"])
-        if "out" in values:
-            updates["out_dir"] = resolve(values["out"])
-    except ValueError as exc:
-        raise ConfigError(f"invalid config value: {exc}") from None
+    for f in CONFIG_FIELDS:
+        if f.key not in values:
+            continue
+        try:
+            value = f.parse(values[f.key])
+        except ValueError as exc:
+            raise ConfigError(f"invalid config value for '{f.key}': {exc}") from None
+        if f.parse is _path and base_dir and not os.path.isabs(value):
+            value = os.path.join(base_dir, value)
+        updates[f.attr] = value
     return replace(cfg, **updates)
+
+
+def _config_values(cfg: RunConfig) -> dict[str, Any]:
+    """The config as metrics.json records it, keyed and ordered as CONFIG_FIELDS."""
+    return {f.key: getattr(cfg, f.attr) for f in CONFIG_FIELDS}
 
 
 def write_config_echo(cfg: RunConfig, path: str | os.PathLike[str]) -> None:
     lines = [
-        f"data = {cfg.data_path}",
-        f"target = {cfg.target_column}",
-        f"features = {','.join(cfg.features)}",
-        f"epsilon = {cfg.epsilon!r}",
-        f"max_models = {cfg.max_models}",
-        f"max_runtime_secs = {cfg.max_runtime_secs!r}",
-        f"test_fraction = {cfg.test_fraction!r}",
-        f"grid = {cfg.grid_size}",
-        f"bootstrap = {cfg.n_boot}",
-        f"alpha = {cfg.alpha!r}",
-        f"seed = {cfg.seed}",
-        f"out = {cfg.out_dir}",
+        f"{key} = {','.join(value) if isinstance(value, (tuple, list)) else value}"
+        for key, value in _config_values(cfg).items()
     ]
     with open(os.fspath(path), "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
-
-
-def _config_as_dict(cfg: RunConfig) -> dict[str, object]:
-    return {
-        "data": cfg.data_path,
-        "target": cfg.target_column,
-        "features": list(cfg.features),
-        "epsilon": cfg.epsilon,
-        "max_models": cfg.max_models,
-        "max_runtime_secs": cfg.max_runtime_secs,
-        "test_fraction": cfg.test_fraction,
-        "grid": cfg.grid_size,
-        "bootstrap": cfg.n_boot,
-        "alpha": cfg.alpha,
-        "seed": cfg.seed,
-        "out": cfg.out_dir,
-    }
 
 
 # ---------------------------------------------------------------------------
@@ -264,16 +253,6 @@ def correlate_rows(rows: list[SuiteSummaryRow]) -> CorrelationResult:
     rr = [d[0] for d in defined]
     cr = [d[1] for d in defined]
     return spearman(rr, cr)
-
-
-def _correlation_as_dict(corr: CorrelationResult) -> dict[str, object]:
-    return {
-        "rho": corr.rho,
-        "ci_lo": corr.ci_lo,
-        "ci_hi": corr.ci_hi,
-        "p_value": corr.p_value,
-        "n_pairs": corr.n_pairs,
-    }
 
 
 # ---------------------------------------------------------------------------
@@ -356,7 +335,7 @@ def run_dataset(cfg: RunConfig, workers: int = 1,
 
     report = {
         "dataset": ds.name,
-        "config": _config_as_dict(cfg),
+        "config": _config_values(cfg),
         "pool": [
             {"id": m.id, "family": m.family, "hyperparameters": m.hyperparameters,
              "score": m.score}
@@ -417,7 +396,7 @@ def run_suite(configs: list[RunConfig], out_dir: str, workers: int = 1):
     write_summary_csv(rows, os.path.join(out_dir, "summary.csv"))
     report = {
         "datasets": [r.dataset for r in rows],
-        "correlation": None if correlation is None else _correlation_as_dict(correlation),
+        "correlation": None if correlation is None else asdict(correlation),
         "warnings": warnings,
     }
     with open(os.path.join(out_dir, "suite_report.json"), "w", encoding="utf-8") as fh:
@@ -436,7 +415,7 @@ def correlate_summary(summary_path: str, out_dir: str) -> CorrelationResult:
         "summary": os.path.basename(os.fspath(summary_path)),
         "n_rows": len(rows),
         "n_defined": correlation.n_pairs,
-        "correlation": _correlation_as_dict(correlation),
+        "correlation": asdict(correlation),
     }
     with open(os.path.join(out_dir, "correlation.json"), "w", encoding="utf-8") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)

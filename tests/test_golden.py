@@ -1,0 +1,127 @@
+"""Golden values for the family registry and the run-config field table.
+
+The literals below were recorded from the code before either table existed,
+so they pin the sampler draw order, the model builders, and the byte layout
+of `config.echo` and metrics.json["config"] without running the benchmark.
+"""
+
+from __future__ import annotations
+
+import dataclasses
+import math
+
+import pytest
+
+from rashpdp.cli import main
+from rashpdp.data import save_csv, split
+from rashpdp.learners import SearchBudget, train_pool
+from rashpdp.report import RunConfig, config_from_mapping, parse_config_file
+from rashpdp.synthetic import make_linear
+
+# train_pool(tiny_dataset, split(tiny_dataset, 0.25, seed=1),
+#            SearchBudget(max_models=10, max_runtime_secs=inf, seed=13))
+GOLDEN_POOL = [
+    ("LinearRidge", {"alpha": 0.048172714801716386}, 0.12067182158783848),
+    ("DecisionTree", {"max_depth": 12, "min_samples_leaf": 2}, 0.34150970230626),
+    ("RandomForest", {"n_estimators": 164, "max_features": "third"}, 0.6054654305275723),
+    ("GradientBoosting",
+     {"n_estimators": 215, "learning_rate": 0.03857051915937957, "max_depth": 3},
+     0.40629193701401456),
+    ("KNearestNeighbors", {"n_neighbors": 24, "weights": "inverse_distance"},
+     0.7509190025819485),
+    ("LinearRidge", {"alpha": 0.006147532216560314}, 0.12027726650187452),
+    ("DecisionTree", {"max_depth": 9, "min_samples_leaf": 11}, 0.5802049221129556),
+    ("RandomForest", {"n_estimators": 298, "max_features": "sqrt"}, 0.4037767907040442),
+    ("GradientBoosting",
+     {"n_estimators": 326, "learning_rate": 0.11496539362085777, "max_depth": 4},
+     0.42703780159721155),
+    ("KNearestNeighbors", {"n_neighbors": 7, "weights": "uniform"}, 0.5214482890116987),
+]
+
+# Every flag that sets a RunConfig field, each at a non-default value.
+EXPLAIN_FLAGS = [
+    "--data", "lin.csv", "--target", "y", "--feature", "x2", "--feature", "x1",
+    "--epsilon", "0.5", "--max-models", "2", "--max-runtime-secs", "99.5",
+    "--test-fraction", "0.3", "--grid", "3", "--bootstrap", "7", "--alpha", "0.1",
+    "--seed", "5", "--out", "out",
+]
+EXPECTED_CONFIG = RunConfig(
+    data_path="lin.csv", target_column="y", features=("x2", "x1"), epsilon=0.5,
+    max_models=2, max_runtime_secs=99.5, test_fraction=0.3, grid_size=3, n_boot=7,
+    alpha=0.1, seed=5, out_dir="out",
+)
+GOLDEN_ECHO = (
+    b"data = lin.csv\n"
+    b"target = y\n"
+    b"features = x2,x1\n"
+    b"epsilon = 0.5\n"
+    b"max_models = 2\n"
+    b"max_runtime_secs = 99.5\n"
+    b"test_fraction = 0.3\n"
+    b"grid = 3\n"
+    b"bootstrap = 7\n"
+    b"alpha = 0.1\n"
+    b"seed = 5\n"
+    b"out = out\n"
+)
+GOLDEN_METRICS_CONFIG = (
+    '  "config": {\n'
+    '    "alpha": 0.1,\n'
+    '    "bootstrap": 7,\n'
+    '    "data": "lin.csv",\n'
+    '    "epsilon": 0.5,\n'
+    '    "features": [\n'
+    '      "x2",\n'
+    '      "x1"\n'
+    '    ],\n'
+    '    "grid": 3,\n'
+    '    "max_models": 2,\n'
+    '    "max_runtime_secs": 99.5,\n'
+    '    "out": "out",\n'
+    '    "seed": 5,\n'
+    '    "target": "y",\n'
+    '    "test_fraction": 0.3\n'
+    '  },\n'
+)
+
+
+def test_pool_families_and_hyperparameters(tiny_dataset):
+    sp = split(tiny_dataset, 0.25, seed=1)
+    pool = train_pool(tiny_dataset, sp,
+                      SearchBudget(max_models=10, max_runtime_secs=math.inf, seed=13))
+    assert [(m.family, m.hyperparameters) for m in pool] == [
+        (family, hp) for family, hp, _ in GOLDEN_POOL
+    ]
+    # The scores depend on how each family builds its model from the draw.
+    assert [m.score for m in pool] == pytest.approx(
+        [score for _, _, score in GOLDEN_POOL], rel=1e-9
+    )
+
+
+def test_every_golden_config_field_is_non_default():
+    default = RunConfig(data_path="", target_column="")
+    for f in dataclasses.fields(RunConfig):
+        assert getattr(EXPECTED_CONFIG, f.name) != getattr(default, f.name), f.name
+
+
+@pytest.fixture
+def explained(tmp_path, monkeypatch):
+    """Run `explain` with every config flag set, from inside tmp_path."""
+    save_csv(make_linear(n_rows=60, noise=0.2, seed=5, name="lin"), tmp_path / "lin.csv")
+    monkeypatch.chdir(tmp_path)
+    assert main(["explain", *EXPLAIN_FLAGS]) == 0
+    return tmp_path / "out"
+
+
+def test_config_echo_bytes(explained):
+    assert (explained / "config.echo").read_bytes() == GOLDEN_ECHO
+
+
+def test_metrics_config_block(explained):
+    text = (explained / "metrics.json").read_text(encoding="utf-8")
+    assert GOLDEN_METRICS_CONFIG in text
+
+
+def test_config_echo_round_trips(explained):
+    echoed = config_from_mapping(parse_config_file(explained / "config.echo"))
+    assert echoed == EXPECTED_CONFIG

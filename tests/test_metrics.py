@@ -3,11 +3,15 @@
 from __future__ import annotations
 
 import importlib.resources
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
-from rashpdp.metrics import compute_metrics, coverage_rate, mwci, spearman
+import rashpdp
+from rashpdp.metrics import _mid_ranks, compute_metrics, coverage_rate, mwci, spearman
 from rashpdp.pdp import PdpCurve, RashomonPdpResult, bootstrap_bands, rashomon_pdp
 from rashpdp.report import read_summary_csv
 
@@ -120,6 +124,19 @@ class TestSpearman:
         assert ours.rho == pytest.approx(float(theirs.statistic), abs=1e-12)
         assert ours.p_value == pytest.approx(float(theirs.pvalue), abs=1e-10)
 
+    def test_ranks_and_tails_equal_scipy_stats_exactly(self):
+        # spearman avoids importing scipy.stats; its stand-ins must agree bit for bit.
+        from scipy import special, stats
+
+        rng = np.random.default_rng(1)
+        for values in (np.round(rng.normal(size=57), 1), rng.integers(0, 4, 30) * 1.0,
+                       rng.normal(size=9)):
+            np.testing.assert_array_equal(_mid_ranks(values),
+                                          stats.rankdata(values, method="average"))
+        assert special.ndtri(0.975) == stats.norm.ppf(0.975)
+        for t, df in ((0.3, 5), (2.7, 27), (11.0, 2)):
+            assert special.stdtr(df, -t) == stats.t.sf(t, df=df)
+
     def test_benchmark_fixture_reproduces_reference_analysis(self):
         path = importlib.resources.files("rashpdp.resources") / "benchmark_summary.csv"
         rows = read_summary_csv(str(path))
@@ -151,3 +168,12 @@ class TestSpearman:
         base = spearman(xs, ys).rho
         assert spearman(np.exp(xs), ys).rho == pytest.approx(base, abs=1e-12)
         assert spearman(xs, ys**3).rho == pytest.approx(base, abs=1e-12)
+
+
+def test_importing_the_cli_leaves_scipy_stats_unloaded():
+    # scipy.stats would be most of the start-up cost of every run.
+    src = os.path.dirname(os.path.dirname(os.path.abspath(rashpdp.__file__)))
+    probe = "import sys, rashpdp.cli; print('scipy.stats' in sys.modules)"
+    result = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                            env=dict(os.environ, PYTHONPATH=src), check=True)
+    assert result.stdout.strip() == "False"

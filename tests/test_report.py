@@ -11,8 +11,9 @@ import numpy as np
 import pytest
 
 from rashpdp.cli import main
-from rashpdp.data import save_csv
+from rashpdp.data import load_csv, save_csv, split
 from rashpdp.errors import ConfigError, DataError
+from rashpdp.learners import SearchBudget, save_pool, train_pool
 from rashpdp.pdp import PdpCurve, RashomonPdpResult
 from rashpdp.report import (
     RunConfig,
@@ -302,6 +303,44 @@ class TestCli:
             "--load-pool", str(bad), "--out", str(tmp_path / "o"),
         ])
         assert code == 3
+
+    @pytest.mark.parametrize(
+        "missing", ["models", "id", "family", "hyperparameters", "score", "state"]
+    )
+    def test_malformed_pool_archive_names_missing_key(self, linear_csv, tmp_path, capsys,
+                                                      missing):
+        ds = load_csv(linear_csv, "y")
+        archive = tmp_path / "pool.json"
+        save_pool(train_pool(ds, split(ds, 0.25, seed=0), SearchBudget(max_models=1)), archive)
+        payload = json.loads(archive.read_text(encoding="utf-8"))
+        del (payload if missing == "models" else payload["models"][0])[missing]
+        archive.write_text(json.dumps(payload), encoding="utf-8")
+        code = main([
+            "explain", "--data", linear_csv, "--target", "y",
+            "--load-pool", str(archive), "--out", str(tmp_path / "o"),
+        ])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert str(archive) in err
+        assert f"missing key '{missing}'" in err
+
+    def test_explain_rejects_workers_below_one(self, linear_csv, tmp_path, capsys):
+        code = main([
+            "explain", "--data", linear_csv, "--target", "y", "--workers", "-3",
+            "--out", str(tmp_path / "o"),
+        ])
+        assert code == 1
+        assert "--workers must be >= 1, got -3" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_suite_rejects_workers_below_one(self, tmp_path, capsys):
+        suite_file = tmp_path / "suite.txt"
+        suite_file.write_text("d0.cfg\n", encoding="utf-8")
+        code = main(["suite", "--configs", str(suite_file), "--workers", "0",
+                     "--out", str(tmp_path / "s")])
+        assert code == 1
+        assert "--workers must be >= 1, got 0" in capsys.readouterr().err
+        assert not (tmp_path / "s").exists()
 
     def test_explain_end_to_end(self, linear_csv, tmp_path, capsys):
         out = tmp_path / "cli_out"
