@@ -76,6 +76,8 @@ def _explain_config(args: argparse.Namespace) -> RunConfig:
     overrides = {f.key: getattr(args, f.key) for f in CONFIG_FIELDS
                  if getattr(args, f.key) is not None}
     if "features" in overrides:
+        if not all(name.strip() for name in overrides["features"]):
+            raise ConfigError("--feature needs a non-blank name")
         overrides["features"] = ",".join(overrides["features"])
     cfg = config_from_mapping(overrides, defaults=cfg)
     if not cfg.data_path:

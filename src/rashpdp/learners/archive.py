@@ -1,16 +1,75 @@
-"""Versioned JSON archive for trained model pools (--save-pool/--load-pool)."""
+"""Versioned JSON archive for trained model pools (--save-pool/--load-pool).
+
+A model's state holds its constructor arguments and the attributes in its class's
+`FITTED` table, named without the trailing '_'. A `FITTED` kind is `float`, a
+numpy dtype (an array), or a model class (a list of nested models)."""
 
 from __future__ import annotations
 
+import functools
+import inspect
 import json
 import os
+from typing import Any
+
+import numpy as np
 
 from .pool import REGISTRY, TrainedModel
 
 ARCHIVE_FORMAT = "rashpdp-pool"
 ARCHIVE_VERSION = 1
 
-_MODEL_KEYS = ("id", "family", "hyperparameters", "score", "state")
+
+@functools.cache
+def _fields(cls: type) -> tuple[tuple[str, ...], tuple[tuple[str, str, Any], ...]]:
+    """Constructor parameters and (attribute, key, kind) per `FITTED` entry, once per class."""
+    return (tuple(inspect.signature(cls).parameters),
+            tuple((attr, attr.rstrip("_"), kind) for attr, kind in cls.FITTED.items()))
+
+
+def get_state(model: Any) -> dict[str, Any]:
+    """The JSON-ready state of a fitted model."""
+    params, fitted = _fields(type(model))
+    state = {name: getattr(model, name) for name in params}
+    for attr, key, kind in fitted:
+        value = getattr(model, attr)
+        state[key] = (float(value) if kind is float
+                      else value.tolist() if issubclass(kind, np.number)
+                      else [get_state(part) for part in value])
+    return state
+
+
+def from_state(cls: type, state: Any) -> Any:
+    """Rebuild a fitted `cls` from `get_state` output. A missing or mistyped
+    field raises ValueError naming it; load_pool then runs the model's
+    `validate`, if it has one, for the checks that span fields."""
+    params, fitted = _fields(cls)
+    if not isinstance(state, dict):
+        raise ValueError(f"{cls.__name__} state must be an object, got {type(state).__name__}")
+    field = ", ".join(params)  # what an error is about: the constructor, then each field
+    try:
+        model = cls(**{name: state[name] for name in params})
+        for attr, field, kind in fitted:
+            setattr(model, attr, _decode(state[field], kind))
+    except KeyError as exc:
+        raise ValueError(f"{cls.__name__} state is missing field {exc}") from None
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{cls.__name__} field '{field}': {exc}") from None
+    return model
+
+
+def _decode(value: Any, kind: Any) -> Any:
+    if kind is float:
+        value = float(value)
+    elif not isinstance(value, list):
+        raise ValueError(f"expected a list, got {type(value).__name__}")
+    elif not issubclass(kind, np.number):
+        return [from_state(kind, part) for part in value]
+    else:
+        value = np.asarray(value, dtype=kind)
+    if kind is not np.intp and not np.isfinite(value).all():  # a null float reads as NaN
+        raise ValueError("expected finite numbers")
+    return value
 
 
 def save_pool(pool: list[TrainedModel], path: str | os.PathLike[str]) -> None:
@@ -24,7 +83,7 @@ def save_pool(pool: list[TrainedModel], path: str | os.PathLike[str]) -> None:
                 "family": m.family,
                 "hyperparameters": m.hyperparameters,
                 "score": m.score,
-                "state": m.predictor.get_state(),
+                "state": get_state(m.predictor),
             }
             for m in pool
         ],
@@ -34,10 +93,11 @@ def save_pool(pool: list[TrainedModel], path: str | os.PathLike[str]) -> None:
 
 
 def load_pool(path: str | os.PathLike[str]) -> list[TrainedModel]:
-    """Restore a pool saved by save_pool; predictions match the original."""
+    """Restore a pool saved by save_pool; predictions match the original. A
+    malformed model raises ValueError naming the path, its index and the field."""
     with open(os.fspath(path), "r", encoding="utf-8") as fh:
         payload = json.load(fh)
-    if payload.get("format") != ARCHIVE_FORMAT:
+    if not isinstance(payload, dict) or payload.get("format") != ARCHIVE_FORMAT:
         raise ValueError(f"{path} is not a model-pool archive")
     if payload.get("version") != ARCHIVE_VERSION:
         raise ValueError(
@@ -46,21 +106,24 @@ def load_pool(path: str | os.PathLike[str]) -> list[TrainedModel]:
         )
     if "models" not in payload:
         raise ValueError(f"pool archive {path} is missing key 'models'")
+    if not isinstance(payload["models"], list):
+        raise ValueError(f"pool archive {path}: 'models' must be a list")
     pool = []
     for index, entry in enumerate(payload["models"]):
-        for key in _MODEL_KEYS:
-            if key not in entry:
-                raise ValueError(f"pool archive {path}: model {index} is missing key '{key}'")
-        family = entry["family"]
-        if family not in REGISTRY:
-            raise ValueError(f"unknown model family '{family}' in archive {path}")
-        pool.append(
-            TrainedModel(
-                id=int(entry["id"]),
-                family=family,
-                hyperparameters=dict(entry["hyperparameters"]),
-                predictor=REGISTRY[family].model_class.from_state(entry["state"]),
-                score=float(entry["score"]),
-            )
-        )
+        try:
+            if not isinstance(entry, dict):
+                raise ValueError(f"entry must be an object, got {type(entry).__name__}")
+            family = entry["family"]
+            if family not in REGISTRY:
+                raise ValueError(f"unknown model family '{family}'")
+            predictor = from_state(REGISTRY[family].model_class, entry["state"])
+            if hasattr(predictor, "validate"):
+                predictor.validate()
+            pool.append(TrainedModel(id=int(entry["id"]), family=family, predictor=predictor,
+                                     hyperparameters=dict(entry["hyperparameters"]),
+                                     score=float(entry["score"])))
+        except KeyError as exc:
+            raise ValueError(f"pool archive {path}: model {index}: missing key {exc}") from None
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"pool archive {path}: model {index}: {exc}") from None
     return pool

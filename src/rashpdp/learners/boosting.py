@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .tree import RegressionTree
+from .tree import RegressionTree, check_trees
 
 BOOSTING_MIN_SAMPLES_LEAF = 5
 
@@ -16,6 +16,8 @@ class GradientBoostingRegression:
     boosted outputs, like plain tree averages, never extrapolate beyond the
     targets seen in training.
     """
+
+    FITTED = dict(init_=float, y_min_=float, y_max_=float, trees_=RegressionTree)
 
     def __init__(self, n_estimators: int = 100, learning_rate: float = 0.1, max_depth: int = 3):
         if n_estimators < 1:
@@ -58,26 +60,5 @@ class GradientBoostingRegression:
             pred += self.learning_rate * tree.predict_many(X)
         return np.clip(pred, self.y_min_, self.y_max_)
 
-    def get_state(self) -> dict:
-        return {
-            "n_estimators": self.n_estimators,
-            "learning_rate": self.learning_rate,
-            "max_depth": self.max_depth,
-            "init": self.init_,
-            "y_min": self.y_min_,
-            "y_max": self.y_max_,
-            "trees": [tree.get_state() for tree in self.trees_],
-        }
-
-    @classmethod
-    def from_state(cls, state: dict) -> "GradientBoostingRegression":
-        model = cls(
-            n_estimators=state["n_estimators"],
-            learning_rate=state["learning_rate"],
-            max_depth=state["max_depth"],
-        )
-        model.init_ = float(state["init"])
-        model.y_min_ = float(state["y_min"])
-        model.y_max_ = float(state["y_max"])
-        model.trees_ = [RegressionTree.from_state(s) for s in state["trees"]]
-        return model
+    def validate(self) -> None:
+        check_trees(self.trees_, self.n_estimators)

@@ -6,7 +6,7 @@ import math
 
 import numpy as np
 
-from .tree import RegressionTree
+from .tree import RegressionTree, check_trees
 
 # Desk-scale fixed knobs; only tree count and feature subsampling are searched.
 FOREST_MAX_DEPTH = 18
@@ -27,6 +27,8 @@ class RandomForestRegression:
     Each tree is grown on a bootstrap row sample; its rng is derived from
     (seed, tree index) so parallel and serial fits would agree.
     """
+
+    FITTED = dict(trees_=RegressionTree)
 
     def __init__(self, n_estimators: int = 100, max_features: str = "sqrt", seed: int = 0):
         if n_estimators < 1:
@@ -61,20 +63,5 @@ class RandomForestRegression:
         stacked = np.stack([tree.predict_many(X) for tree in self.trees_])
         return stacked.mean(axis=0)
 
-    def get_state(self) -> dict:
-        return {
-            "n_estimators": self.n_estimators,
-            "max_features": self.max_features,
-            "seed": self.seed,
-            "trees": [tree.get_state() for tree in self.trees_],
-        }
-
-    @classmethod
-    def from_state(cls, state: dict) -> "RandomForestRegression":
-        model = cls(
-            n_estimators=state["n_estimators"],
-            max_features=state["max_features"],
-            seed=state["seed"],
-        )
-        model.trees_ = [RegressionTree.from_state(s) for s in state["trees"]]
-        return model
+    def validate(self) -> None:
+        check_trees(self.trees_, self.n_estimators)

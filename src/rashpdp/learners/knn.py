@@ -15,6 +15,8 @@ class KNearestNeighborsRegression:
     the zero-distance rows under inverse-distance weighting.
     """
 
+    FITTED = dict(center_=np.float64, scale_=np.float64, train_z_=np.float64, train_y_=np.float64)
+
     def __init__(self, n_neighbors: int = 5, weights: str = "uniform"):
         if n_neighbors < 1:
             raise ValueError(f"n_neighbors must be >= 1, got {n_neighbors}")
@@ -74,22 +76,3 @@ class KNearestNeighborsRegression:
                     pred[has_zero] = (ny[has_zero] * zero[has_zero]).sum(axis=1) / zcount
                 out[start:start + zq.shape[0]] = pred
         return out
-
-    def get_state(self) -> dict:
-        return {
-            "n_neighbors": self.n_neighbors,
-            "weights": self.weights,
-            "center": self.center_.tolist(),
-            "scale": self.scale_.tolist(),
-            "train_z": self.train_z_.tolist(),
-            "train_y": self.train_y_.tolist(),
-        }
-
-    @classmethod
-    def from_state(cls, state: dict) -> "KNearestNeighborsRegression":
-        model = cls(n_neighbors=state["n_neighbors"], weights=state["weights"])
-        model.center_ = np.asarray(state["center"], dtype=np.float64)
-        model.scale_ = np.asarray(state["scale"], dtype=np.float64)
-        model.train_z_ = np.asarray(state["train_z"], dtype=np.float64)
-        model.train_y_ = np.asarray(state["train_y"], dtype=np.float64)
-        return model

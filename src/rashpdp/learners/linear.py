@@ -12,6 +12,8 @@ class RidgeRegression:
     alpha near zero this reduces to ordinary least squares.
     """
 
+    FITTED = dict(coef_=np.float64, intercept_=float, center_=np.float64, scale_=np.float64)
+
     def __init__(self, alpha: float = 1.0):
         if alpha < 0:
             raise ValueError(f"alpha must be >= 0, got {alpha}")
@@ -40,21 +42,3 @@ class RidgeRegression:
             raise ValueError("model is not fitted")
         Z = (np.asarray(X, dtype=np.float64) - self.center_) / self.scale_
         return Z @ self.coef_ + self.intercept_
-
-    def get_state(self) -> dict:
-        return {
-            "alpha": self.alpha,
-            "coef": self.coef_.tolist(),
-            "intercept": self.intercept_,
-            "center": self.center_.tolist(),
-            "scale": self.scale_.tolist(),
-        }
-
-    @classmethod
-    def from_state(cls, state: dict) -> "RidgeRegression":
-        model = cls(alpha=state["alpha"])
-        model.coef_ = np.asarray(state["coef"], dtype=np.float64)
-        model.intercept_ = float(state["intercept"])
-        model.center_ = np.asarray(state["center"], dtype=np.float64)
-        model.scale_ = np.asarray(state["scale"], dtype=np.float64)
-        return model

@@ -27,8 +27,8 @@ K_NEAREST_NEIGHBORS = "KNearestNeighbors"
 class Family:
     """One searched model family. `sample(rng)` draws its hyperparameters, in
     an order that is part of the pool's seed contract; `build(hp, n_train,
-    fit_seed)` returns the unfitted model; `model_class.from_state` restores
-    an archived one."""
+    fit_seed)` returns the unfitted model; `archive.from_state(model_class,
+    state)` restores an archived one."""
 
     name: str
     model_class: type

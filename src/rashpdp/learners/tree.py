@@ -15,6 +15,9 @@ class RegressionTree:
     for a given feature-candidate sequence.
     """
 
+    FITTED = dict(feature=np.intp, threshold=np.float64, left=np.intp, right=np.intp,
+                  value=np.float64)
+
     def __init__(self, max_depth: int = 12, min_samples_leaf: int = 1,
                  max_features: int | None = None):
         if max_depth < 1:
@@ -139,28 +142,36 @@ class RegressionTree:
             idx[active] = np.where(go_left, self.left[nodes], self.right[nodes])
         return self.value[idx]
 
-    def get_state(self) -> dict:
-        return {
-            "max_depth": self.max_depth,
-            "min_samples_leaf": self.min_samples_leaf,
-            "max_features": self.max_features,
-            "feature": self.feature.tolist(),
-            "threshold": self.threshold.tolist(),
-            "left": self.left.tolist(),
-            "right": self.right.tolist(),
-            "value": self.value.tolist(),
-        }
+    def validate(self) -> None:
+        check_trees([self], 1)
 
-    @classmethod
-    def from_state(cls, state: dict) -> "RegressionTree":
-        tree = cls(
-            max_depth=state["max_depth"],
-            min_samples_leaf=state["min_samples_leaf"],
-            max_features=state["max_features"],
-        )
-        tree.feature = np.asarray(state["feature"], dtype=np.intp)
-        tree.threshold = np.asarray(state["threshold"], dtype=np.float64)
-        tree.left = np.asarray(state["left"], dtype=np.intp)
-        tree.right = np.asarray(state["right"], dtype=np.intp)
-        tree.value = np.asarray(state["value"], dtype=np.float64)
-        return tree
+
+def check_trees(trees: list[RegressionTree], n_trees: int) -> None:
+    """Reject restored trees the grower cannot make, all in one pass. The grower
+    appends children after their parent, so child > parent rules out cycles."""
+    if len(trees) != n_trees:
+        raise ValueError(f"field 'trees': {len(trees)} trees, n_estimators is {n_trees}")
+    sizes = [tree.feature.size for tree in trees]
+    expected = [(n,) for n in sizes]
+    for name in RegressionTree.FITTED:
+        shapes = [getattr(tree, name).shape for tree in trees]
+        if shapes != expected or 0 in sizes:
+            k = next(k for k, shape in enumerate(shapes) if shape != expected[k] or not sizes[k])
+            raise ValueError(f"RegressionTree {k} field '{name}': shape {shapes[k]}, expected "
+                             f"{expected[k]} like 'feature', at least one node")
+    ends = np.cumsum(sizes)
+    node = np.arange(ends[-1]) - np.repeat(ends - sizes, sizes)
+    feature, left, right = (np.concatenate([getattr(tree, name) for tree in trees])
+                            for name in ("feature", "left", "right"))
+    internal = feature >= 0
+    lowest = internal * (node + 2) - 1  # node + 1 at an internal node, -1 at a leaf
+    highest = internal * np.repeat(sizes, sizes) - 1
+    for name, values, bad in (("feature", feature, feature < -1),
+                              ("left", left, (left < lowest) | (left > highest)),
+                              ("right", right, (right < lowest) | (right > highest))):
+        if bad.any():
+            i = int(bad.argmax())
+            k = int(np.searchsorted(ends, i, "right"))
+            raise ValueError(f"RegressionTree {k} field '{name}': node {node[i]} has {values[i]}, "
+                             f"expected " + ("-1 or more" if name == "feature"
+                                             else f"{lowest[i]}..{highest[i]}"))

@@ -95,7 +95,10 @@ def _path(text: str) -> str:
 
 
 def _names(text: str) -> tuple[str, ...]:
-    return tuple(s.strip() for s in text.split(",") if s.strip())
+    names = tuple(s.strip() for s in text.split(",")) if text.strip() else ()
+    if "" in names:
+        raise ValueError(f"blank feature name in '{text}'")
+    return names
 
 
 class ConfigField(NamedTuple):

@@ -51,14 +51,13 @@ def _fmt_px(v: float) -> str:
 
 def emit_svg(result: RashomonPdpResult, path: str | os.PathLike[str], *,
              dataset_name: str = "", target_name: str = "prediction",
-             epsilon: float | None = None, show_members: bool = True) -> None:
+             epsilon: float | None = None) -> None:
     """Render the profile: shaded band, mean line, dashed best-model line,
-    optional faint member curves, axes, legend, and a parameter-carrying
-    title. Output is a pure function of the inputs."""
+    faint member curves, axes, legend, and a parameter-carrying title.
+    Output is a pure function of the inputs."""
     grid = result.grid
-    series = [result.mean, result.ci_lo, result.ci_hi, result.best_curve.values]
-    if show_members:
-        series += [c.values for c in result.per_model]
+    series = [result.mean, result.ci_lo, result.ci_hi, result.best_curve.values,
+              *(c.values for c in result.per_model)]
     y_min = min(float(s.min()) for s in series)
     y_max = max(float(s.max()) for s in series)
     if y_max - y_min <= 0:
@@ -153,12 +152,11 @@ def emit_svg(result: RashomonPdpResult, path: str | os.PathLike[str], *,
     )
     out.append(f'<polygon points="{band_pts}" fill="{BAND_FILL}" fill-opacity="0.55" stroke="none"/>')
 
-    if show_members:
-        for curve in result.per_model:
-            out.append(
-                f'<polyline points="{points(curve.values)}" fill="none" '
-                f'stroke="{MEMBER_COLOR}" stroke-opacity="0.45" stroke-width="1"/>'
-            )
+    for curve in result.per_model:
+        out.append(
+            f'<polyline points="{points(curve.values)}" fill="none" '
+            f'stroke="{MEMBER_COLOR}" stroke-opacity="0.45" stroke-width="1"/>'
+        )
     out.append(
         f'<polyline points="{points(result.mean)}" fill="none" stroke="{MEAN_COLOR}" '
         f'stroke-width="2.5"/>'
@@ -176,7 +174,7 @@ def emit_svg(result: RashomonPdpResult, path: str | os.PathLike[str], *,
         ("best model", BEST_COLOR, "7,4"),
         (f"{100 * (1 - result.alpha):g}% band", BAND_FILL, "band"),
     ]
-    if show_members and len(result.per_model) > 1:
+    if len(result.per_model) > 1:
         entries.append(("member profiles", MEMBER_COLOR, None))
     out.append(
         f'<rect x="{lx - 6}" y="{ly - 6}" width="208" height="{16 * len(entries) + 10}" '

@@ -1,20 +1,23 @@
-"""Golden values for the family registry and the run-config field table.
+"""Golden values for the family registry, the run-config field table and
+the pool archive.
 
-The literals below were recorded from the code before either table existed,
+The literals below were recorded from the code before each table existed,
 so they pin the sampler draw order, the model builders, and the byte layout
-of `config.echo` and metrics.json["config"] without running the benchmark.
+of `config.echo`, metrics.json["config"] and the pool archive without running
+the benchmark.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import math
 
 import pytest
 
 from rashpdp.cli import main
 from rashpdp.data import save_csv, split
-from rashpdp.learners import SearchBudget, train_pool
+from rashpdp.learners import SearchBudget, load_pool, save_pool, train_pool
 from rashpdp.report import RunConfig, config_from_mapping, parse_config_file
 from rashpdp.synthetic import make_linear
 
@@ -37,6 +40,8 @@ GOLDEN_POOL = [
      0.42703780159721155),
     ("KNearestNeighbors", {"n_neighbors": 7, "weights": "uniform"}, 0.5214482890116987),
 ]
+# sha256 of save_pool(pool) for that pool, recorded before the model-state codec.
+GOLDEN_POOL_SHA256 = "e5d3d84d1605f2b8d19c7e07bef1747f1a4612741941ff79877332c4d3db7b21"
 
 # Every flag that sets a RunConfig field, each at a non-default value.
 EXPLAIN_FLAGS = [
@@ -96,6 +101,17 @@ def test_pool_families_and_hyperparameters(tiny_dataset):
     assert [m.score for m in pool] == pytest.approx(
         [score for _, _, score in GOLDEN_POOL], rel=1e-9
     )
+
+
+def test_pool_archive_bytes(tiny_dataset, tmp_path):
+    sp = split(tiny_dataset, 0.25, seed=1)
+    pool = train_pool(tiny_dataset, sp,
+                      SearchBudget(max_models=10, max_runtime_secs=math.inf, seed=13))
+    save_pool(pool, tmp_path / "pool.json")
+    saved = (tmp_path / "pool.json").read_bytes()
+    assert hashlib.sha256(saved).hexdigest() == GOLDEN_POOL_SHA256
+    save_pool(load_pool(tmp_path / "pool.json"), tmp_path / "again.json")
+    assert (tmp_path / "again.json").read_bytes() == saved
 
 
 def test_every_golden_config_field_is_non_default():

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import copy
+import json
 import math
 
 import numpy as np
@@ -207,7 +209,54 @@ class TestTrainPool:
             assert m.predict(row) == m.predict(row)
 
 
+@pytest.fixture(scope="module")
+def archive_payload(tmp_path_factory):
+    """A saved pool of one ridge, CART, forest and boosting model, as JSON."""
+    ds = make_linear(n_rows=60, noise=0.2, seed=3)
+    path = tmp_path_factory.mktemp("archive") / "pool.json"
+    save_pool(train_pool(ds, split(ds, 0.25, seed=1), SearchBudget(max_models=4, seed=6)), path)
+    return json.loads(path.read_text(encoding="utf-8"))
+
+
+# (family, key path into that model's state, change to the value there, error)
+BROKEN_TREES = {
+    "self-loop child": ("DecisionTree", ("left", 0), lambda old: 0,
+                        "RegressionTree 0 field 'left': node 0 has 0, expected 1.."),
+    "negative root feature": ("DecisionTree", ("feature", 0), lambda old: -5,
+                              "RegressionTree 0 field 'feature': node 0 has -5,"),
+    "unequal node arrays": ("RandomForest", ("trees", 0, "value"), lambda old: old[:-1],
+                            "RegressionTree 0 field 'value': shape"),
+    "child out of range": ("GradientBoosting", ("trees", 1, "right", 0), lambda old: 10**6,
+                           "RegressionTree 1 field 'right': node 0 has 1000000, expected 1.."),
+    "no trees": ("RandomForest", ("trees",), lambda old: [], "field 'trees': 0 trees"),
+}
+
+
 class TestPoolArchive:
+    @pytest.mark.parametrize("family, keys, change, error", BROKEN_TREES.values(),
+                             ids=BROKEN_TREES.keys())
+    def test_broken_tree_fails_on_load(self, archive_payload, tmp_path, monkeypatch,
+                                       family, keys, change, error):
+        payload = copy.deepcopy(archive_payload)
+        index, entry = next((i, m) for i, m in enumerate(payload["models"])
+                            if m["family"] == family)
+        *parents, last = keys
+        node = entry["state"]
+        for key in parents:
+            node = node[key]
+        node[last] = change(node[last])
+        path = tmp_path / "pool.json"
+        path.write_text(json.dumps(payload), encoding="utf-8")
+
+        def no_prediction(self, X):
+            raise AssertionError("a broken tree was asked to predict")
+
+        monkeypatch.setattr(RegressionTree, "predict_many", no_prediction)
+        with pytest.raises(ValueError) as info:
+            load_pool(path)
+        assert str(info.value).startswith(f"pool archive {path}: model {index}: ")
+        assert error in str(info.value)
+
     def test_round_trip_preserves_predictions(self, tiny_dataset, tmp_path):
         sp = split(tiny_dataset, 0.25, seed=1)
         pool = train_pool(tiny_dataset, sp, SearchBudget(max_models=5, seed=6))

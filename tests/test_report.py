@@ -103,6 +103,9 @@ class TestConfigFiles:
         assert cfg.alpha == 0.2
         assert cfg.seed == 99
 
+    def test_empty_features_means_all(self):
+        assert config_from_mapping({"features": ""}).features == ()
+
     def test_unknown_key_rejected(self, tmp_path):
         cfg_file = tmp_path / "run.cfg"
         cfg_file.write_text("bogus = 1\n", encoding="utf-8")
@@ -323,6 +326,63 @@ class TestCli:
         err = capsys.readouterr().err
         assert str(archive) in err
         assert f"missing key '{missing}'" in err
+
+    # Edits of a saved two-model pool (ridge, CART); an edit that returns a
+    # value replaces the whole payload.
+    BAD_ARCHIVES = {
+        "payload not an object": (lambda p: [p], "{path} is not a model-pool archive"),
+        "models not a list": (lambda p: p.update(models={}),
+                              "pool archive {path}: 'models' must be a list"),
+        "model not an object": (lambda p: p["models"].__setitem__(0, 5),
+                                "pool archive {path}: model 0: entry must be an object, got int"),
+        "state missing field": (lambda p: p["models"][0]["state"].__delitem__("coef"),
+                                "pool archive {path}: model 0: "
+                                "RidgeRegression state is missing field 'coef'"),
+        "mistyped field": (lambda p: p["models"][0]["state"].update(coef="abc"),
+                           "pool archive {path}: model 0: "
+                           "RidgeRegression field 'coef': expected a list, got str"),
+        "null threshold": (lambda p: p["models"][1]["state"]["threshold"].__setitem__(0, None),
+                           "pool archive {path}: model 1: "
+                           "RegressionTree field 'threshold': expected finite numbers"),
+        "tree cycle": (lambda p: p["models"][1]["state"]["left"].__setitem__(0, 0),
+                       "pool archive {path}: model 1: "
+                       "RegressionTree 0 field 'left': node 0 has 0, expected 1.."),
+    }
+
+    @pytest.mark.parametrize("edit, message", BAD_ARCHIVES.values(), ids=BAD_ARCHIVES.keys())
+    def test_malformed_pool_archive_exit_three(self, linear_csv, tmp_path, capsys,
+                                               edit, message):
+        ds = load_csv(linear_csv, "y")
+        archive = tmp_path / "pool.json"
+        save_pool(train_pool(ds, split(ds, 0.25, seed=0), SearchBudget(max_models=2)), archive)
+        payload = json.loads(archive.read_text(encoding="utf-8"))
+        edited = edit(payload)
+        archive.write_text(json.dumps(payload if edited is None else edited), encoding="utf-8")
+        code = main([
+            "explain", "--data", linear_csv, "--target", "y",
+            "--load-pool", str(archive), "--out", str(tmp_path / "o"),
+        ])
+        assert code == 3
+        assert message.format(path=archive) in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("flags, config", [
+        (["--feature", ""], None),
+        (["--feature", " "], None),
+        ([], "features = ,\n"),
+        ([], "features = x1,,x2\n"),
+    ], ids=["empty flag", "blank flag", "empty config name", "blank config name"])
+    def test_blank_feature_name_exit_one(self, linear_csv, tmp_path, capsys, flags, config):
+        if config is not None:
+            (tmp_path / "run.cfg").write_text(config, encoding="utf-8")
+            flags = ["--config", str(tmp_path / "run.cfg")]
+        code = main([
+            "explain", "--data", linear_csv, "--target", "y", *flags,
+            "--out", str(tmp_path / "o"),
+        ])
+        assert code == 1
+        assert "blank" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     def test_explain_rejects_workers_below_one(self, linear_csv, tmp_path, capsys):
         code = main([
