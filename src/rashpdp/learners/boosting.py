@@ -52,12 +52,21 @@ class GradientBoostingRegression:
         return self
 
     def predict_many(self, X: np.ndarray) -> np.ndarray:
+        X = np.asarray(X, dtype=np.float64)
+        return self._combine(X.shape[0], lambda tree: tree.predict_many(X))
+
+    def predict_grid(self, base: np.ndarray, j: int, grid: np.ndarray) -> np.ndarray:
+        return self._combine(len(grid) * len(base),
+                             lambda tree: tree.predict_grid(base, j, grid))
+
+    def _combine(self, n: int, predict) -> np.ndarray:
+        """init + the shrunken sum of `predict(tree)` in tree order, clipped,
+        for n predictions."""
         if not self.trees_:
             raise ValueError("model is not fitted")
-        X = np.asarray(X, dtype=np.float64)
-        pred = np.full(X.shape[0], self.init_)
+        pred = np.full(n, self.init_)
         for tree in self.trees_:
-            pred += self.learning_rate * tree.predict_many(X)
+            pred += self.learning_rate * predict(tree)
         return np.clip(pred, self.y_min_, self.y_max_)
 
     def validate(self) -> None:

@@ -57,11 +57,17 @@ class RandomForestRegression:
         return self
 
     def predict_many(self, X: np.ndarray) -> np.ndarray:
+        X = np.asarray(X, dtype=np.float64)
+        return self._combine(lambda tree: tree.predict_many(X))
+
+    def predict_grid(self, base: np.ndarray, j: int, grid: np.ndarray) -> np.ndarray:
+        return self._combine(lambda tree: tree.predict_grid(base, j, grid))
+
+    def _combine(self, predict) -> np.ndarray:
+        """The mean of `predict(tree)` over the trees."""
         if not self.trees_:
             raise ValueError("model is not fitted")
-        X = np.asarray(X, dtype=np.float64)
-        stacked = np.stack([tree.predict_many(X) for tree in self.trees_])
-        return stacked.mean(axis=0)
+        return np.stack([predict(tree) for tree in self.trees_]).mean(axis=0)
 
     def validate(self) -> None:
         check_trees(self.trees_, self.n_estimators)

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .linear import check_scaling
+
 _QUERY_CHUNK = 2048
 
 
@@ -76,3 +78,13 @@ class KNearestNeighborsRegression:
                     pred[has_zero] = (ny[has_zero] * zero[has_zero]).sum(axis=1) / zcount
                 out[start:start + zq.shape[0]] = pred
         return out
+
+    def validate(self) -> None:
+        if self.train_z_.ndim != 2:
+            raise ValueError(f"KNearestNeighborsRegression field 'train_z': shape "
+                             f"{self.train_z_.shape}, expected a matrix")
+        rows, width = self.train_z_.shape
+        if self.train_y_.shape != (rows,):
+            raise ValueError(f"KNearestNeighborsRegression field 'train_y': shape "
+                             f"{self.train_y_.shape}, expected ({rows},) to match 'train_z'")
+        check_scaling(self, width, "train_z")

@@ -42,3 +42,22 @@ class RidgeRegression:
             raise ValueError("model is not fitted")
         Z = (np.asarray(X, dtype=np.float64) - self.center_) / self.scale_
         return Z @ self.coef_ + self.intercept_
+
+    def validate(self) -> None:
+        if self.coef_.ndim != 1:
+            raise ValueError(f"RidgeRegression field 'coef': shape {self.coef_.shape}, "
+                             f"expected a vector")
+        check_scaling(self, self.coef_.size, "coef")
+
+
+def check_scaling(model, width: int, source: str) -> None:
+    """Reject a restored model whose `center_` or `scale_` does not have the
+    `width` of its field `source`, or whose scale has a zero."""
+    for field in ("center", "scale"):
+        shape = getattr(model, field + "_").shape
+        if shape != (width,):
+            raise ValueError(f"{type(model).__name__} field '{field}': shape {shape}, "
+                             f"expected ({width},) to match '{source}'")
+    if not model.scale_.all():
+        raise ValueError(f"{type(model).__name__} field 'scale': zero at index "
+                         f"{int(np.flatnonzero(model.scale_ == 0)[0])}")

@@ -126,9 +126,14 @@ def predict_batch(model: TrainedModel, rows: np.ndarray) -> np.ndarray:
         raise ValueError(f"rows must be a 2-d matrix, got shape {rows.shape}")
     if rows.shape[0] == 0:
         return np.empty(0, dtype=np.float64)
-    out = np.asarray(model.predict_many(rows), dtype=np.float64)
-    if out.shape != (rows.shape[0],):
-        raise ValueError(f"predictor returned shape {out.shape} for {rows.shape[0]} rows")
+    return checked_predictions(model, model.predict_many(rows), rows.shape[0])
+
+
+def checked_predictions(model: TrainedModel, out: Any, n_rows: int) -> np.ndarray:
+    """`out` as float64 if it holds n_rows finite predictions of `model`."""
+    out = np.asarray(out, dtype=np.float64)
+    if out.shape != (n_rows,):
+        raise ValueError(f"predictor returned shape {out.shape} for {n_rows} rows")
     if not np.all(np.isfinite(out)):
         raise ValueError(f"model {model.id} ({model.family}) produced non-finite predictions")
     return out

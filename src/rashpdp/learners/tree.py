@@ -142,6 +142,19 @@ class RegressionTree:
             idx[active] = np.where(go_left, self.left[nodes], self.right[nodes])
         return self.value[idx]
 
+    def predict_grid(self, base: np.ndarray, j: int, grid: np.ndarray) -> np.ndarray:
+        """`predict_many` of `base` tiled once per grid value with column j set
+        to it, predicting once per interval between the thresholds on j: grid
+        values with as many thresholds strictly below them take the same path."""
+        base = np.asarray(base, dtype=np.float64)
+        grid = np.asarray(grid, dtype=np.float64)
+        cuts = np.sort(self.threshold[self.feature == j])
+        classes = np.searchsorted(cuts, grid, "left")
+        _, first, inverse = np.unique(classes, return_index=True, return_inverse=True)
+        X = np.tile(base, (first.size, 1))
+        X[:, j] = np.repeat(grid[first], base.shape[0])
+        return self.predict_many(X).reshape(first.size, -1)[inverse].ravel()
+
     def validate(self) -> None:
         check_trees([self], 1)
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data import Dataset, Split, feature_grid
-from .learners.pool import TrainedModel, predict_batch
+from .learners.pool import TrainedModel, checked_predictions, predict_batch
 from .rashomon import RashomonSet
 from .seeding import ROLE_BOOTSTRAP, ROLE_PDP_ROWS, derive_seed
 
@@ -81,7 +81,8 @@ class RashomonPdpResult:
 def pdp_single(model: TrainedModel, ds: Dataset, rows: np.ndarray,
                feature_index: int, grid: np.ndarray) -> PdpCurve:
     """Profile of one model: for each grid value, overwrite the feature on
-    every averaging row, predict, and take the mean prediction."""
+    every averaging row, predict, and take the mean prediction. A predictor
+    with `predict_grid` (the tree families) returns those predictions itself."""
     rows = np.asarray(rows, dtype=np.intp)
     if rows.size == 0:
         raise ValueError("profile averaging needs at least one row")
@@ -94,9 +95,14 @@ def pdp_single(model: TrainedModel, ds: Dataset, rows: np.ndarray,
         raise ValueError("grid must be non-empty and strictly increasing")
 
     base = ds.features[rows]
-    tiled = np.tile(base, (grid.size, 1))
-    tiled[:, feature_index] = np.repeat(grid, rows.size)
-    predictions = predict_batch(model, tiled)
+    predict_grid = getattr(model.predictor, "predict_grid", None)
+    if predict_grid is not None:  # exactly predict_batch on the tiled rows below
+        predictions = checked_predictions(model, predict_grid(base, feature_index, grid),
+                                          grid.size * rows.size)
+    else:
+        tiled = np.tile(base, (grid.size, 1))
+        tiled[:, feature_index] = np.repeat(grid, rows.size)
+        predictions = predict_batch(model, tiled)
     values = predictions.reshape(grid.size, rows.size).mean(axis=1)
     return PdpCurve(feature_index=feature_index, grid=grid, values=values,
                     model_id=model.id)

@@ -13,11 +13,13 @@ import dataclasses
 import hashlib
 import math
 
+import numpy as np
 import pytest
 
 from rashpdp.cli import main
-from rashpdp.data import save_csv, split
+from rashpdp.data import feature_grid, save_csv, split
 from rashpdp.learners import SearchBudget, load_pool, save_pool, train_pool
+from rashpdp.pdp import pdp_single
 from rashpdp.report import RunConfig, config_from_mapping, parse_config_file
 from rashpdp.synthetic import make_linear
 
@@ -141,3 +143,26 @@ def test_metrics_config_block(explained):
 def test_config_echo_round_trips(explained):
     echoed = config_from_mapping(parse_config_file(explained / "config.echo"))
     assert echoed == EXPECTED_CONFIG
+
+
+# sha256 over every member's pdp_single values for the GOLDEN_POOL run, feature by
+# feature: on the pipeline's grid, then on the grid of every threshold any of its
+# trees sets on the feature. Recorded with tiled prediction, before tree profiles
+# were computed per threshold interval.
+GOLDEN_PDP_SHA256 = "17be682edff9a2207216f2571835c7f208c8eb1636fd6f1e93ecf66a631eb230"
+
+
+def test_member_profile_bytes(tiny_dataset):
+    sp = split(tiny_dataset, 0.25, seed=1)
+    pool = train_pool(tiny_dataset, sp,
+                      SearchBudget(max_models=10, max_runtime_secs=math.inf, seed=13))
+    trees = [tree for m in pool for tree in getattr(m.predictor, "trees_", [m.predictor])]
+    rows = np.asarray(sp.train_indices)
+    digest = hashlib.sha256()
+    for j in range(tiny_dataset.n_features):
+        cuts = np.unique(np.concatenate([t.threshold[t.feature == j] for t in trees
+                                         if hasattr(t, "threshold")]))
+        for grid in (feature_grid(tiny_dataset, j, rows=sp.train_indices), cuts):
+            for m in pool:
+                digest.update(pdp_single(m, tiny_dataset, rows, j, grid).values.tobytes())
+    assert digest.hexdigest() == GOLDEN_PDP_SHA256

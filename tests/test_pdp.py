@@ -82,6 +82,19 @@ class TestPdpSingle:
         c1 = pdp_single(model, ds, np.array([0, 1]), 1, np.array([0.0, 0.5, 1.0]))
         np.testing.assert_array_equal(c1.values, [5.0, 5.0, 5.0])
 
+    @pytest.mark.parametrize("grid_output, message", [
+        (lambda size: np.full(size, np.nan), "non-finite predictions"),
+        (lambda size: np.zeros(size - 1), "predictor returned shape"),
+    ], ids=["nan", "short"])
+    def test_predict_grid_output_is_checked(self, tiny_dataset, grid_output, message):
+        class GridPredictor(ConstantPredictor):
+            def predict_grid(self, base, j, grid):
+                return grid_output(len(grid) * len(base))
+
+        model = stub_model(0, 1.0, GridPredictor(0.0))
+        with pytest.raises(ValueError, match=message):
+            pdp_single(model, tiny_dataset, np.arange(4), 0, np.array([0.0, 1.0]))
+
     def test_empty_rows_rejected(self, tiny_dataset):
         model = stub_model(0, 1.0)
         with pytest.raises(ValueError, match="at least one row"):

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from rashpdp.data import Dataset, feature_grid, split
+from rashpdp.learners import GradientBoostingRegression, RandomForestRegression, RegressionTree
 from rashpdp.metrics import coverage_rate, mwci
 from rashpdp.pdp import PdpCurve, RashomonPdpResult, bootstrap_bands, rashomon_pdp
 from rashpdp.rashomon import form_set
@@ -160,6 +161,53 @@ def test_coverage_invariant_and_width_scaling_under_affine_maps(curves, seed, a,
     )
     assert coverage_rate(moved) == coverage_rate(base)
     assert mwci(moved) == pytest.approx(a * mwci(base), rel=1e-9, abs=1e-12)
+
+
+# --- tree profiles per threshold interval equal tiled prediction ------------
+
+# Small integer-valued columns make repeated values and ties with thresholds common.
+levels = st.integers(0, 6).map(float)
+
+
+@st.composite
+def tree_models(draw):
+    """A fitted tree-family model, the rows it profiles over and a feature
+    index; the last column is constant, so no tree ever splits on it."""
+    n, p = draw(st.integers(1, 25)), draw(st.integers(1, 3))
+    X = np.asarray(draw(st.lists(st.lists(levels, min_size=p, max_size=p),
+                                 min_size=n, max_size=n)))
+    X = np.column_stack([X, np.full(n, 2.0)])
+    y = np.asarray(draw(st.lists(finite, min_size=n, max_size=n)))
+    kind = draw(st.sampled_from(["tree", "forest", "boosting"]))
+    if kind == "tree":  # one leaf when y is constant or n < 2 * min_samples_leaf
+        model = RegressionTree(max_depth=draw(st.integers(1, 5)),
+                               min_samples_leaf=draw(st.integers(1, 4))).fit(X, y)
+    elif kind == "forest":
+        model = RandomForestRegression(n_estimators=draw(st.integers(1, 4)),
+                                       max_features=draw(st.sampled_from(["sqrt", "third"])),
+                                       seed=draw(seeds)).fit(X, y)
+    else:
+        model = GradientBoostingRegression(n_estimators=draw(st.integers(1, 4)),
+                                           learning_rate=draw(st.floats(0.05, 1.0)),
+                                           max_depth=draw(st.integers(1, 3))).fit(X, y)
+    base = X[draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=8))]
+    return model, base, draw(st.integers(0, p))
+
+
+@COMMON
+@given(fitted=tree_models(), extra=st.lists(st.floats(-1.0, 8.0), max_size=6),
+       one_point=st.booleans())
+def test_predict_grid_equals_tiled_prediction(fitted, extra, one_point):
+    model, base, j = fitted
+    trees = getattr(model, "trees_", [model])
+    cuts = np.concatenate([t.threshold[t.feature == j] for t in trees])
+    # every threshold itself, values below the smallest and above the largest
+    grid = np.unique(np.concatenate([cuts, cuts - 1.0, cuts + 1.0, [-1.0, 8.0], extra]))
+    if one_point:
+        grid = grid[[len(grid) // 2]]
+    tiled = np.tile(base, (grid.size, 1))
+    tiled[:, j] = np.repeat(grid, base.shape[0])
+    assert model.predict_grid(base, j, grid).tobytes() == model.predict_many(tiled).tobytes()
 
 
 # --- supporting invariants ----------------------------------------------------

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import importlib.resources
 import json
+import math
 import os
 import xml.etree.ElementTree as ET
 
@@ -13,7 +14,14 @@ import pytest
 from rashpdp.cli import main
 from rashpdp.data import load_csv, save_csv, split
 from rashpdp.errors import ConfigError, DataError
-from rashpdp.learners import SearchBudget, save_pool, train_pool
+from rashpdp.learners import (
+    KNearestNeighborsRegression,
+    RidgeRegression,
+    SearchBudget,
+    TrainedModel,
+    save_pool,
+    train_pool,
+)
 from rashpdp.pdp import PdpCurve, RashomonPdpResult
 from rashpdp.report import (
     RunConfig,
@@ -347,6 +355,37 @@ class TestCli:
         "tree cycle": (lambda p: p["models"][1]["state"]["left"].__setitem__(0, 0),
                        "pool archive {path}: model 1: "
                        "RegressionTree 0 field 'left': node 0 has 0, expected 1.."),
+        "fractional child": (lambda p: p["models"][1]["state"]["left"].__setitem__(0, 1.5),
+                             "pool archive {path}: model 1: "
+                             "RegressionTree field 'left': expected integers, got 1.5"),
+        "string child": (lambda p: p["models"][1]["state"]["right"].__setitem__(0, "2"),
+                         "pool archive {path}: model 1: "
+                         "RegressionTree field 'right': expected integers, got '2'"),
+        "bool child": (lambda p: p["models"][1]["state"]["left"].__setitem__(0, True),
+                       "pool archive {path}: model 1: "
+                       "RegressionTree field 'left': expected integers, got True"),
+        "huge child": (lambda p: p["models"][1]["state"]["left"].__setitem__(0, 2**70),
+                       "pool archive {path}: model 1: RegressionTree field 'left': "),
+        "list family": (lambda p: p["models"][0].update(family=["LinearRidge"]),
+                        "pool archive {path}: model 0: unknown model family ['LinearRidge']"),
+        "list id": (lambda p: p["models"][0].update(id=[1]),
+                    "pool archive {path}: model 0: key 'id' must be an integer, got [1]"),
+        "string id": (lambda p: p["models"][0].update(id="0"),
+                      "pool archive {path}: model 0: key 'id' must be an integer, got '0'"),
+        "bool id": (lambda p: p["models"][0].update(id=False),
+                    "pool archive {path}: model 0: key 'id' must be an integer, got False"),
+        "string score": (lambda p: p["models"][0].update(score="0.5"),
+                         "pool archive {path}: model 0: "
+                         "key 'score' must be a finite number, got '0.5'"),
+        "nan score": (lambda p: p["models"][0].update(score=math.nan),
+                      "pool archive {path}: model 0: "
+                      "key 'score' must be a finite number, got nan"),
+        "bool score": (lambda p: p["models"][0].update(score=True),
+                       "pool archive {path}: model 0: "
+                       "key 'score' must be a finite number, got True"),
+        "list hyperparameters": (lambda p: p["models"][0].update(hyperparameters=[["alpha", 1]]),
+                                 "pool archive {path}: model 0: "
+                                 "key 'hyperparameters' must be an object, got [['alpha', 1]]"),
     }
 
     @pytest.mark.parametrize("edit, message", BAD_ARCHIVES.values(), ids=BAD_ARCHIVES.keys())
@@ -364,6 +403,61 @@ class TestCli:
         ])
         assert code == 3
         assert message.format(path=archive) in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    # Edits of a saved pool of one ridge and one k-NN model whose fields no
+    # longer agree with each other.
+    INCONSISTENT_MODELS = {
+        "ridge coef not a vector": (0, lambda s: s.update(coef=[s["coef"]]),
+                                    "RidgeRegression field 'coef': shape (1, 3), "
+                                    "expected a vector"),
+        "ridge coef longer": (0, lambda s: s["coef"].append(1.0),
+                              "RidgeRegression field 'center': shape (3,), "
+                              "expected (4,) to match 'coef'"),
+        "ridge scale shorter": (0, lambda s: s["scale"].pop(),
+                                "RidgeRegression field 'scale': shape (2,), "
+                                "expected (3,) to match 'coef'"),
+        "ridge zero scale": (0, lambda s: s["scale"].__setitem__(1, 0.0),
+                             "RidgeRegression field 'scale': zero at index 1"),
+        "knn train_z not a matrix": (1, lambda s: s.update(train_z=s["train_z"][0]),
+                                     "KNearestNeighborsRegression field 'train_z': "
+                                     "shape (3,), expected a matrix"),
+        "knn train_y doubled": (1, lambda s: s["train_y"].extend(s["train_y"]),
+                                "KNearestNeighborsRegression field 'train_y': shape (180,), "
+                                "expected (90,) to match 'train_z'"),
+        "knn center shorter": (1, lambda s: s["center"].pop(),
+                               "KNearestNeighborsRegression field 'center': shape (2,), "
+                               "expected (3,) to match 'train_z'"),
+        "knn scale longer": (1, lambda s: s["scale"].append(1.0),
+                             "KNearestNeighborsRegression field 'scale': shape (4,), "
+                             "expected (3,) to match 'train_z'"),
+        "knn zero scale": (1, lambda s: s["scale"].__setitem__(0, 0.0),
+                           "KNearestNeighborsRegression field 'scale': zero at index 0"),
+    }
+
+    @pytest.mark.parametrize("index, edit, message", INCONSISTENT_MODELS.values(),
+                             ids=INCONSISTENT_MODELS.keys())
+    def test_inconsistent_model_exit_three(self, linear_csv, tmp_path, capsys,
+                                           index, edit, message):
+        ds = load_csv(linear_csv, "y")
+        train = np.asarray(split(ds, 0.25, seed=0).train_indices)
+        X, y = ds.features[train], ds.target[train]
+        pool = [TrainedModel(id=0, family="LinearRidge", hyperparameters={"alpha": 1.0},
+                             predictor=RidgeRegression(1.0).fit(X, y), score=1.0),
+                TrainedModel(id=1, family="KNearestNeighbors",
+                             hyperparameters={"n_neighbors": 5, "weights": "uniform"},
+                             predictor=KNearestNeighborsRegression(5).fit(X, y), score=1.0)]
+        archive = tmp_path / "pool.json"
+        save_pool(pool, archive)
+        payload = json.loads(archive.read_text(encoding="utf-8"))
+        edit(payload["models"][index]["state"])
+        archive.write_text(json.dumps(payload), encoding="utf-8")
+        code = main([
+            "explain", "--data", linear_csv, "--target", "y",
+            "--load-pool", str(archive), "--out", str(tmp_path / "o"),
+        ])
+        assert code == 3
+        assert f"pool archive {archive}: model {index}: {message}" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("flags, config", [
