@@ -14,6 +14,7 @@ from .errors import ConfigError, DataError
 from .metrics import CorrelationResult
 from .report import (
     CONFIG_FIELDS,
+    NA,
     RunConfig,
     config_from_mapping,
     correlate_summary,
@@ -125,8 +126,8 @@ def _run(args: argparse.Namespace) -> int:
         row, _ = run_dataset(cfg, workers=args.workers,
                              load_pool_path=args.load_pool,
                              save_pool_path=args.save_pool)
-        rr = "-" if row.rr is None else f"{row.rr:.4f}"
-        cr = "-" if row.cr is None else f"{row.cr:.4f}"
+        rr = NA if row.rr is None else f"{row.rr:.4f}"
+        cr = NA if row.cr is None else f"{row.cr:.4f}"
         print(f"{row.dataset}: bmp={row.bmp:.6g} mss={row.mss} rss={row.rss} "
               f"rr={rr} cr={cr} -> {cfg.out_dir}")
         return EXIT_OK

@@ -43,7 +43,7 @@ def get_state(model: Any) -> dict[str, Any]:
 def from_state(cls: type, state: Any) -> Any:
     """Rebuild a fitted `cls` from `get_state` output. A missing or mistyped
     field raises ValueError naming it; load_pool then runs the model's
-    `validate`, if it has one, for the checks that span fields."""
+    `validate` for the checks that span fields."""
     params, fitted = _fields(cls)
     if not isinstance(state, dict):
         raise ValueError(f"{cls.__name__} state must be an object, got {type(state).__name__}")
@@ -144,8 +144,7 @@ def load_pool(path: str | os.PathLike[str]) -> list[TrainedModel]:
                 raise ValueError(f"unknown model family {family!r}")
             model_id, score, hyperparameters = _entry_keys(entry)
             predictor = from_state(REGISTRY[family].model_class, entry["state"])
-            if hasattr(predictor, "validate"):
-                predictor.validate()
+            predictor.validate()
             pool.append(TrainedModel(id=model_id, family=family, predictor=predictor,
                                      hyperparameters=hyperparameters, score=score))
         except KeyError as exc:

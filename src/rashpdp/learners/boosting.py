@@ -4,12 +4,12 @@ from __future__ import annotations
 
 import numpy as np
 
-from .tree import RegressionTree, check_trees
+from .tree import RegressionTree, TreeEnsemble
 
 BOOSTING_MIN_SAMPLES_LEAF = 5
 
 
-class GradientBoostingRegression:
+class GradientBoostingRegression(TreeEnsemble):
     """Stagewise additive model: mean prediction plus shrunken residual trees.
 
     Final predictions are clamped to the observed training-target range so
@@ -17,20 +17,17 @@ class GradientBoostingRegression:
     targets seen in training.
     """
 
-    FITTED = dict(init_=float, y_min_=float, y_max_=float, trees_=RegressionTree)
+    FITTED = dict(init_=float, y_min_=float, y_max_=float, **TreeEnsemble.FITTED)
 
     def __init__(self, n_estimators: int = 100, learning_rate: float = 0.1, max_depth: int = 3):
-        if n_estimators < 1:
-            raise ValueError(f"n_estimators must be >= 1, got {n_estimators}")
+        super().__init__(n_estimators)
         if not 0.0 < learning_rate <= 1.0:
             raise ValueError(f"learning_rate must be in (0, 1], got {learning_rate}")
-        self.n_estimators = int(n_estimators)
         self.learning_rate = float(learning_rate)
         self.max_depth = int(max_depth)
         self.init_: float = 0.0
         self.y_min_: float = 0.0
         self.y_max_: float = 0.0
-        self.trees_: list[RegressionTree] = []
 
     def fit(self, X: np.ndarray, y: np.ndarray) -> "GradientBoostingRegression":
         X = np.asarray(X, dtype=np.float64)
@@ -51,23 +48,8 @@ class GradientBoostingRegression:
             self.trees_.append(tree)
         return self
 
-    def predict_many(self, X: np.ndarray) -> np.ndarray:
-        X = np.asarray(X, dtype=np.float64)
-        return self._combine(X.shape[0], lambda tree: tree.predict_many(X))
-
-    def predict_grid(self, base: np.ndarray, j: int, grid: np.ndarray) -> np.ndarray:
-        return self._combine(len(grid) * len(base),
-                             lambda tree: tree.predict_grid(base, j, grid))
-
-    def _combine(self, n: int, predict) -> np.ndarray:
-        """init + the shrunken sum of `predict(tree)` in tree order, clipped,
-        for n predictions."""
-        if not self.trees_:
-            raise ValueError("model is not fitted")
+    def _combine(self, n: int, predictions) -> np.ndarray:
         pred = np.full(n, self.init_)
-        for tree in self.trees_:
-            pred += self.learning_rate * predict(tree)
+        for v in predictions:
+            pred += self.learning_rate * v
         return np.clip(pred, self.y_min_, self.y_max_)
-
-    def validate(self) -> None:
-        check_trees(self.trees_, self.n_estimators)

@@ -6,7 +6,7 @@ import math
 
 import numpy as np
 
-from .tree import RegressionTree, check_trees
+from .tree import RegressionTree, TreeEnsemble
 
 # Desk-scale fixed knobs; only tree count and feature subsampling are searched.
 FOREST_MAX_DEPTH = 18
@@ -21,22 +21,17 @@ def _resolve_max_features(mode: str, p: int) -> int:
     raise ValueError(f"unknown feature subsampling mode '{mode}'")
 
 
-class RandomForestRegression:
+class RandomForestRegression(TreeEnsemble):
     """Bagged trees with per-node feature subsampling.
 
     Each tree is grown on a bootstrap row sample; its rng is derived from
     (seed, tree index) so parallel and serial fits would agree.
     """
 
-    FITTED = dict(trees_=RegressionTree)
-
     def __init__(self, n_estimators: int = 100, max_features: str = "sqrt", seed: int = 0):
-        if n_estimators < 1:
-            raise ValueError(f"n_estimators must be >= 1, got {n_estimators}")
-        self.n_estimators = int(n_estimators)
+        super().__init__(n_estimators)
         self.max_features = str(max_features)
         self.seed = int(seed)
-        self.trees_: list[RegressionTree] = []
 
     def fit(self, X: np.ndarray, y: np.ndarray) -> "RandomForestRegression":
         X = np.asarray(X, dtype=np.float64)
@@ -56,18 +51,5 @@ class RandomForestRegression:
             self.trees_.append(tree)
         return self
 
-    def predict_many(self, X: np.ndarray) -> np.ndarray:
-        X = np.asarray(X, dtype=np.float64)
-        return self._combine(lambda tree: tree.predict_many(X))
-
-    def predict_grid(self, base: np.ndarray, j: int, grid: np.ndarray) -> np.ndarray:
-        return self._combine(lambda tree: tree.predict_grid(base, j, grid))
-
-    def _combine(self, predict) -> np.ndarray:
-        """The mean of `predict(tree)` over the trees."""
-        if not self.trees_:
-            raise ValueError("model is not fitted")
-        return np.stack([predict(tree) for tree in self.trees_]).mean(axis=0)
-
-    def validate(self) -> None:
-        check_trees(self.trees_, self.n_estimators)
+    def _combine(self, n: int, predictions) -> np.ndarray:
+        return np.stack(list(predictions)).mean(axis=0)

@@ -132,14 +132,12 @@ class RegressionTree:
             raise ValueError("tree is not fitted")
         X = np.asarray(X, dtype=np.float64)
         idx = np.zeros(X.shape[0], dtype=np.intp)
-        while True:
-            node_feats = self.feature[idx]
-            active = np.nonzero(node_feats >= 0)[0]
-            if active.size == 0:
-                break
-            nodes = idx[active]
-            go_left = X[active, self.feature[nodes]] <= self.threshold[nodes]
-            idx[active] = np.where(go_left, self.left[nodes], self.right[nodes])
+        rows = np.flatnonzero(self.feature[idx] >= 0)  # the rows not yet at a leaf
+        while rows.size:
+            nodes = idx[rows]
+            go_left = X[rows, self.feature[nodes]] <= self.threshold[nodes]
+            idx[rows] = nodes = np.where(go_left, self.left[nodes], self.right[nodes])
+            rows = rows[self.feature[nodes] >= 0]
         return self.value[idx]
 
     def predict_grid(self, base: np.ndarray, j: int, grid: np.ndarray) -> np.ndarray:
@@ -157,6 +155,34 @@ class RegressionTree:
 
     def validate(self) -> None:
         check_trees([self], 1)
+
+
+class TreeEnsemble:
+    """Regression trees fitted by a subclass's `fit`. Its `_combine(n, predictions)`
+    turns an iterator of each tree's n predictions, in tree order, into the model's."""
+
+    FITTED = dict(trees_=RegressionTree)
+
+    def __init__(self, n_estimators: int):
+        if n_estimators < 1:
+            raise ValueError(f"n_estimators must be >= 1, got {n_estimators}")
+        self.n_estimators = int(n_estimators)
+        self.trees_: list[RegressionTree] = []
+
+    def predict_many(self, X: np.ndarray) -> np.ndarray:
+        X = np.asarray(X, dtype=np.float64)
+        return self._predict(X.shape[0], lambda tree: tree.predict_many(X))
+
+    def predict_grid(self, base: np.ndarray, j: int, grid: np.ndarray) -> np.ndarray:
+        return self._predict(len(grid) * len(base), lambda tree: tree.predict_grid(base, j, grid))
+
+    def _predict(self, n: int, predict) -> np.ndarray:
+        if not self.trees_:
+            raise ValueError("model is not fitted")
+        return self._combine(n, map(predict, self.trees_))
+
+    def validate(self) -> None:
+        check_trees(self.trees_, self.n_estimators)
 
 
 def check_trees(trees: list[RegressionTree], n_trees: int) -> None:

@@ -265,6 +265,12 @@ def _safe_filename(name: str) -> str:
     return re.sub(r"[^A-Za-z0-9_.-]+", "_", name)
 
 
+def _write_json(payload: dict[str, Any], path: str) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(payload, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
 def run_dataset(cfg: RunConfig, workers: int = 1,
                 load_pool_path: str | None = None,
                 save_pool_path: str | None = None):
@@ -286,6 +292,12 @@ def run_dataset(cfg: RunConfig, workers: int = 1,
         if name not in ds.feature_names:
             raise ConfigError(f"dataset '{ds.name}': unknown feature '{name}'")
     feature_names = list(cfg.features) if cfg.features else list(ds.feature_names)
+    stems: dict[str, str] = {}
+    for name in feature_names:
+        stem = _safe_filename(name)
+        if stems.setdefault(stem, name) != name:
+            raise ConfigError(f"dataset '{ds.name}': features '{stems[stem]}' and '{name}' "
+                              f"both write profile_{stem}.csv and profile_{stem}.svg")
 
     sp = split(ds, cfg.test_fraction, derive_seed(cfg.seed, ROLE_SPLIT))
     if load_pool_path is not None:
@@ -327,14 +339,12 @@ def run_dataset(cfg: RunConfig, workers: int = 1,
             epsilon=cfg.epsilon,
         )
 
+    rr = mean_mwci = mean_cr = None
     if rset.rss > 1:
+        rr = rset.rr
         mean_mwci = sum(m.mwci for m in feature_metrics.values()) / len(feature_metrics)
         mean_cr = sum(m.cr for m in feature_metrics.values()) / len(feature_metrics)
-        row = SuiteSummaryRow(ds.name, best.score, len(pool), rset.rss,
-                              rset.rr, mean_mwci, mean_cr)
-    else:
-        row = SuiteSummaryRow(ds.name, best.score, len(pool), rset.rss,
-                              None, None, None)
+    row = SuiteSummaryRow(ds.name, best.score, len(pool), rset.rss, rr, mean_mwci, mean_cr)
 
     report = {
         "dataset": ds.name,
@@ -363,9 +373,7 @@ def run_dataset(cfg: RunConfig, workers: int = 1,
             for name, fm in feature_metrics.items()
         },
     }
-    with open(os.path.join(cfg.out_dir, "metrics.json"), "w", encoding="utf-8") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(report, os.path.join(cfg.out_dir, "metrics.json"))
     write_config_echo(cfg, os.path.join(cfg.out_dir, "config.echo"))
     write_summary_csv([row], os.path.join(cfg.out_dir, "summary.csv"))
     return row, results
@@ -380,14 +388,18 @@ def run_suite(configs: list[RunConfig], out_dir: str, workers: int = 1):
     """
     if not configs:
         raise ConfigError("suite needs at least one dataset configuration")
-    os.makedirs(out_dir, exist_ok=True)
-    rows = []
+    runs: dict[str, RunConfig] = {}  # absolute output directory -> its run
     for cfg in configs:
         sub_dir = cfg.out_dir or os.path.join(
             out_dir, _safe_filename(os.path.splitext(os.path.basename(cfg.data_path))[0])
         )
-        row, _ = run_dataset(replace(cfg, out_dir=sub_dir), workers=workers)
-        rows.append(row)
+        key = os.path.abspath(sub_dir)
+        if key in runs:
+            raise ConfigError(f"suite datasets '{runs[key].data_path}' and '{cfg.data_path}' "
+                              f"both write to {sub_dir}")
+        runs[key] = replace(cfg, out_dir=sub_dir)
+    os.makedirs(out_dir, exist_ok=True)
+    rows = [run_dataset(run, workers=workers)[0] for run in runs.values()]
 
     warnings: list[str] = []
     correlation = None
@@ -402,9 +414,7 @@ def run_suite(configs: list[RunConfig], out_dir: str, workers: int = 1):
         "correlation": None if correlation is None else asdict(correlation),
         "warnings": warnings,
     }
-    with open(os.path.join(out_dir, "suite_report.json"), "w", encoding="utf-8") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(report, os.path.join(out_dir, "suite_report.json"))
     return rows, correlation, warnings
 
 
@@ -420,7 +430,5 @@ def correlate_summary(summary_path: str, out_dir: str) -> CorrelationResult:
         "n_defined": correlation.n_pairs,
         "correlation": asdict(correlation),
     }
-    with open(os.path.join(out_dir, "correlation.json"), "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(payload, os.path.join(out_dir, "correlation.json"))
     return correlation

@@ -210,6 +210,28 @@ def test_predict_grid_equals_tiled_prediction(fitted, extra, one_point):
     assert model.predict_grid(base, j, grid).tobytes() == model.predict_many(tiled).tobytes()
 
 
+def _walk(tree, x):
+    """One row's prediction by following the node arrays from the root."""
+    node = 0
+    while tree.feature[node] >= 0:
+        go_left = x[tree.feature[node]] <= tree.threshold[node]
+        node = tree.left[node] if go_left else tree.right[node]
+    return tree.value[node]
+
+
+@COMMON
+@given(fitted=tree_models(), values=st.lists(st.floats(-1.0, 8.0), max_size=6))
+def test_predict_many_equals_per_row_walk(fitted, values):
+    model, base, j = fitted
+    one_leaf = RegressionTree().fit(base, np.zeros(len(base)))
+    X = np.tile(base, (len(values), 1))  # no rows when values is empty
+    X[:, j] = np.repeat(values, base.shape[0])
+    for tree in [*getattr(model, "trees_", [model]), one_leaf]:
+        for rows in (base, X, base[:0]):
+            walked = np.array([_walk(tree, x) for x in rows], dtype=np.float64)
+            assert tree.predict_many(rows).tobytes() == walked.tobytes()
+
+
 # --- supporting invariants ----------------------------------------------------
 
 @COMMON

@@ -478,6 +478,35 @@ class TestCli:
         assert "blank" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    def test_features_sharing_an_output_file_exit_one(self, tmp_path, capsys):
+        data = tmp_path / "clash.csv"
+        data.write_text("x 1,x_1,y\n" + "".join(f"{i},{i % 7},{i % 5}\n" for i in range(60)),
+                        encoding="utf-8")
+        code = main(["explain", "--data", str(data), "--target", "y",
+                     "--out", str(tmp_path / "o")])
+        assert code == 1
+        assert ("features 'x 1' and 'x_1' both write profile_x_1.csv and profile_x_1.svg"
+                in capsys.readouterr().err)
+        assert not (tmp_path / "o").exists()
+
+    def test_suite_datasets_sharing_a_directory_exit_one(self, tmp_path, capsys):
+        listing = []
+        for name in ("a", "b"):
+            (tmp_path / name).mkdir()
+            save_csv(make_linear(n_rows=40, noise=0.3, seed=1, name="data"),
+                     tmp_path / name / "data.csv")
+            (tmp_path / name / "run.cfg").write_text("data = data.csv\ntarget = y\n",
+                                                     encoding="utf-8")
+            listing.append(f"{name}/run.cfg")
+        (tmp_path / "suite.txt").write_text("\n".join(listing) + "\n", encoding="utf-8")
+        code = main(["suite", "--configs", str(tmp_path / "suite.txt"),
+                     "--out", str(tmp_path / "s")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert str(tmp_path / "a" / "data.csv") in err
+        assert f"{tmp_path / 'b' / 'data.csv'}' both write to {tmp_path / 's' / 'data'}" in err
+        assert not (tmp_path / "s").exists()
+
     def test_explain_rejects_workers_below_one(self, linear_csv, tmp_path, capsys):
         code = main([
             "explain", "--data", linear_csv, "--target", "y", "--workers", "-3",
