@@ -28,6 +28,8 @@ EXIT_CONFIG = 1
 EXIT_DATA = 2
 EXIT_RUNTIME = 3
 
+WORKERS_HELP = "accepted (at least 1) and currently without effect; every run is serial"
+
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message: str):  # noqa: A003 - argparse API
@@ -48,14 +50,14 @@ def _build_parser() -> _Parser:
         else:
             explain.add_argument("--" + f.key.replace("_", "-"), dest=f.key, help=f.help)
     explain.add_argument("--config", help="flat key-value config file")
-    explain.add_argument("--workers", type=int, default=1)
+    explain.add_argument("--workers", type=int, default=1, help=WORKERS_HELP)
     explain.add_argument("--save-pool", help="write the trained pool archive here")
     explain.add_argument("--load-pool", help="reuse a saved pool archive instead of training")
 
     suite = sub.add_parser("suite", help="run several datasets and correlate the results")
     suite.add_argument("--configs", required=True,
                        help="text file listing one run-config path per line")
-    suite.add_argument("--workers", type=int, default=1)
+    suite.add_argument("--workers", type=int, default=1, help=WORKERS_HELP)
     suite.add_argument("--out", required=True, help="output directory")
 
     correlate = sub.add_parser(
@@ -123,8 +125,7 @@ def _run(args: argparse.Namespace) -> int:
         raise ConfigError(f"--workers must be >= 1, got {args.workers}")
     if args.command == "explain":
         cfg = _explain_config(args)
-        row, _ = run_dataset(cfg, workers=args.workers,
-                             load_pool_path=args.load_pool,
+        row, _ = run_dataset(cfg, load_pool_path=args.load_pool,
                              save_pool_path=args.save_pool)
         rr = NA if row.rr is None else f"{row.rr:.4f}"
         cr = NA if row.cr is None else f"{row.cr:.4f}"
@@ -133,7 +134,7 @@ def _run(args: argparse.Namespace) -> int:
         return EXIT_OK
     if args.command == "suite":
         configs = _read_suite_configs(args.configs)
-        rows, correlation, warnings = run_suite(configs, args.out, workers=args.workers)
+        rows, correlation, warnings = run_suite(configs, args.out)
         print(f"suite: {len(rows)} datasets -> {args.out}")
         for warning in warnings:
             print(f"warning: {warning}", file=sys.stderr)

@@ -5,7 +5,7 @@ from __future__ import annotations
 import csv
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -84,7 +84,6 @@ class Split:
 
     train_indices: tuple[int, ...]
     test_indices: tuple[int, ...]
-    seed: int = field(default=0)
 
     def __post_init__(self) -> None:
         train = set(self.train_indices)
@@ -214,7 +213,6 @@ def split(ds: Dataset, test_fraction: float = DEFAULT_TEST_FRACTION, seed: int =
     return Split(
         train_indices=tuple(int(i) for i in train_idx),
         test_indices=tuple(int(i) for i in test_idx),
-        seed=int(seed),
     )
 
 

@@ -15,7 +15,8 @@ from typing import Any
 
 import numpy as np
 
-from .pool import REGISTRY, TrainedModel
+from ..data import Dataset, Split
+from .pool import REGISTRY, TrainedModel, holdout_rmse
 
 ARCHIVE_FORMAT = "rashpdp-pool"
 ARCHIVE_VERSION = 1
@@ -152,6 +153,23 @@ def load_pool(path: str | os.PathLike[str]) -> list[TrainedModel]:
         except (TypeError, ValueError) as exc:
             raise ValueError(f"pool archive {path}: model {index}: {exc}") from None
     return pool
+
+
+def check_scores(pool: list[TrainedModel], ds: Dataset, sp: Split,
+                 path: str | os.PathLike[str]) -> None:
+    """Require every loaded model to score exactly its stored `score` on this
+    split, so that an archive trained on other data, another split seed or
+    another test fraction fails instead of giving a wrong Rashomon set. JSON
+    floats round-trip exactly, so a matching archive always passes."""
+    for model in pool:
+        try:
+            score = holdout_rmse(model.predictor, ds, sp)
+        except (IndexError, TypeError, ValueError) as exc:
+            raise ValueError(f"pool archive {path}: model {model.id}: "
+                             f"cannot predict this data's test rows: {exc}") from None
+        if score != model.score:
+            raise ValueError(f"pool archive {path}: model {model.id}: holdout RMSE on this "
+                             f"data is {score!r}, the archive says {model.score!r}")
 
 
 def _entry_keys(entry: dict[str, Any]) -> tuple[int, float, dict[str, Any]]:

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import math
 import time
 from dataclasses import dataclass, field
 from typing import Any, Callable
@@ -119,6 +118,12 @@ def rmse(predictions: np.ndarray, truth: np.ndarray) -> float:
     return float(np.sqrt(np.mean((predictions - truth) ** 2)))
 
 
+def holdout_rmse(predictor: Any, ds: Dataset, sp: Split) -> float:
+    """A model's `score`: the RMSE of its predictions on the split's test rows."""
+    test_idx = np.asarray(sp.test_indices, dtype=np.intp)
+    return rmse(predictor.predict_many(ds.features[test_idx]), ds.target[test_idx])
+
+
 def predict_batch(model: TrainedModel, rows: np.ndarray) -> np.ndarray:
     """Predict every row; output is finite and matches the row count."""
     rows = np.asarray(rows, dtype=np.float64)
@@ -149,27 +154,22 @@ def train_pool(ds: Dataset, sp: Split, budget: SearchBudget) -> list[TrainedMode
     runs to completion and completed models are kept.
     """
     train_idx = np.asarray(sp.train_indices, dtype=np.intp)
-    test_idx = np.asarray(sp.test_indices, dtype=np.intp)
     X_train = ds.features[train_idx]
     y_train = ds.target[train_idx]
-    X_test = ds.features[test_idx]
-    y_test = ds.target[test_idx]
 
     started = time.monotonic()
     pool: list[TrainedModel] = []
     for i in range(budget.max_models):
-        if not math.isinf(budget.max_runtime_secs):
-            if time.monotonic() - started > budget.max_runtime_secs:
-                break
+        if time.monotonic() - started > budget.max_runtime_secs:
+            break
         family = REGISTRY[FAMILIES[i % len(FAMILIES)]]
         rng = np.random.default_rng(np.random.SeedSequence(budget.seed, spawn_key=(i,)))
         hp = family.sample(rng)
         fit_seed = int(rng.integers(0, 2**63))
         predictor = family.build(hp, X_train.shape[0], fit_seed).fit(X_train, y_train)
-        score = rmse(predictor.predict_many(X_test), y_test)
         pool.append(
             TrainedModel(id=i, family=family.name, hyperparameters=hp,
-                         predictor=predictor, score=score)
+                         predictor=predictor, score=holdout_rmse(predictor, ds, sp))
         )
     if not pool:
         raise RuntimeError(

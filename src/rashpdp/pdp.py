@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import csv
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -157,13 +156,12 @@ def bootstrap_bands(curves: list[PdpCurve] | tuple[PdpCurve, ...], n_boot: int,
 def rashomon_profile(pool: list[TrainedModel], rset: RashomonSet, ds: Dataset,
                      sp: Split, feature_index: int, grid_size: int,
                      n_boot: int = DEFAULT_BOOTSTRAP_COUNT,
-                     alpha: float = DEFAULT_ALPHA, seed: int = 0,
-                     workers: int = 1) -> RashomonPdpResult:
+                     alpha: float = DEFAULT_ALPHA, seed: int = 0) -> RashomonPdpResult:
     """Full pipeline for one feature: grid, member curves, mean, bands.
 
     The averaging rows are the training rows, subsampled to MAX_PDP_ROWS
     when larger; subsampling and bootstrap use independent streams derived
-    from `seed`, so thread count never affects the output.
+    from `seed`.
     """
     by_id = {m.id: m for m in pool}
     missing = [mid for mid in rset.member_ids if mid not in by_id]
@@ -178,15 +176,7 @@ def rashomon_profile(pool: list[TrainedModel], rset: RashomonSet, ds: Dataset,
 
     member_ids = sorted(rset.member_ids)
     members = [by_id[mid] for mid in member_ids]
-
-    def one_curve(model: TrainedModel) -> PdpCurve:
-        return pdp_single(model, ds, rows, feature_index, grid)
-
-    if workers > 1 and len(members) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as executor:
-            curves = list(executor.map(one_curve, members))
-    else:
-        curves = [one_curve(model) for model in members]
+    curves = [pdp_single(model, ds, rows, feature_index, grid) for model in members]
 
     mean = rashomon_pdp(curves)
     ci_lo, ci_hi = bootstrap_bands(curves, n_boot, alpha,

@@ -11,7 +11,7 @@ from typing import Any, Callable, NamedTuple
 
 from .data import DEFAULT_GRID_SIZE, DEFAULT_TEST_FRACTION, load_csv, split
 from .errors import ConfigError, DataError
-from .learners.archive import load_pool, save_pool
+from .learners.archive import check_scores, load_pool, save_pool
 from .learners.pool import DEFAULT_MAX_MODELS, DEFAULT_MAX_RUNTIME_SECS, SearchBudget, train_pool
 from .metrics import CorrelationResult, compute_metrics, spearman
 from .pdp import DEFAULT_ALPHA, DEFAULT_BOOTSTRAP_COUNT, rashomon_profile, write_profile_csv
@@ -271,8 +271,7 @@ def _write_json(payload: dict[str, Any], path: str) -> None:
         fh.write("\n")
 
 
-def run_dataset(cfg: RunConfig, workers: int = 1,
-                load_pool_path: str | None = None,
+def run_dataset(cfg: RunConfig, load_pool_path: str | None = None,
                 save_pool_path: str | None = None):
     """Execute the full pipeline for one dataset.
 
@@ -291,6 +290,8 @@ def run_dataset(cfg: RunConfig, workers: int = 1,
     for name in cfg.features:
         if name not in ds.feature_names:
             raise ConfigError(f"dataset '{ds.name}': unknown feature '{name}'")
+        if cfg.features.count(name) > 1:
+            raise ConfigError(f"dataset '{ds.name}': feature '{name}' is named more than once")
     feature_names = list(cfg.features) if cfg.features else list(ds.feature_names)
     stems: dict[str, str] = {}
     for name in feature_names:
@@ -302,6 +303,7 @@ def run_dataset(cfg: RunConfig, workers: int = 1,
     sp = split(ds, cfg.test_fraction, derive_seed(cfg.seed, ROLE_SPLIT))
     if load_pool_path is not None:
         pool = load_pool(load_pool_path)
+        check_scores(pool, ds, sp, load_pool_path)
     else:
         budget = SearchBudget(
             max_models=cfg.max_models,
@@ -323,7 +325,7 @@ def run_dataset(cfg: RunConfig, workers: int = 1,
         try:
             result = rashomon_profile(
                 pool, rset, ds, sp, j, cfg.grid_size,
-                n_boot=cfg.n_boot, alpha=cfg.alpha, seed=cfg.seed, workers=workers,
+                n_boot=cfg.n_boot, alpha=cfg.alpha, seed=cfg.seed,
             )
         except DataError as exc:
             raise DataError(f"dataset '{ds.name}': {exc}") from None
@@ -379,7 +381,7 @@ def run_dataset(cfg: RunConfig, workers: int = 1,
     return row, results
 
 
-def run_suite(configs: list[RunConfig], out_dir: str, workers: int = 1):
+def run_suite(configs: list[RunConfig], out_dir: str):
     """Run several datasets and correlate Rashomon ratio against coverage.
 
     Emits the suite summary CSV plus suite_report.json; the correlation is
@@ -394,12 +396,15 @@ def run_suite(configs: list[RunConfig], out_dir: str, workers: int = 1):
             out_dir, _safe_filename(os.path.splitext(os.path.basename(cfg.data_path))[0])
         )
         key = os.path.abspath(sub_dir)
+        if key == os.path.abspath(out_dir):
+            raise ConfigError(f"suite dataset '{cfg.data_path}' writes to {sub_dir}, "
+                              f"the suite's own output directory")
         if key in runs:
             raise ConfigError(f"suite datasets '{runs[key].data_path}' and '{cfg.data_path}' "
                               f"both write to {sub_dir}")
         runs[key] = replace(cfg, out_dir=sub_dir)
     os.makedirs(out_dir, exist_ok=True)
-    rows = [run_dataset(run, workers=workers)[0] for run in runs.values()]
+    rows = [run_dataset(run)[0] for run in runs.values()]
 
     warnings: list[str] = []
     correlation = None

@@ -171,8 +171,8 @@ def test_criterion_7_invariant_suite():
 
 
 def test_criterion_8_byte_identical_outputs(tmp_path):
-    # noisy enough that several models tie, so the worker pool actually
-    # parallelizes member-curve computation
+    # noisy enough that several models tie, so the profiles average several
+    # member curves; --workers is accepted and must not change any byte
     data_path = tmp_path / "d.csv"
     save_csv(make_linear(n_rows=120, noise=3.0, seed=2, name="d"), data_path)
     from rashpdp.cli import main

@@ -239,16 +239,6 @@ class TestRashomonProfile:
         assert np.all(result.ci_lo <= result.ci_hi)
         assert result.n_boot == 100 and result.alpha == 0.1 and result.seed == 3
 
-    def test_workers_do_not_change_results(self, trained):
-        ds, sp, pool = trained
-        rset = form_set(pool, 5.0)
-        serial = rashomon_profile(pool, rset, ds, sp, 0, 8, n_boot=60, alpha=0.05, seed=4)
-        threaded = rashomon_profile(pool, rset, ds, sp, 0, 8, n_boot=60, alpha=0.05,
-                                  seed=4, workers=4)
-        np.testing.assert_array_equal(serial.mean, threaded.mean)
-        np.testing.assert_array_equal(serial.ci_lo, threaded.ci_lo)
-        np.testing.assert_array_equal(serial.ci_hi, threaded.ci_hi)
-
     def test_pool_order_does_not_matter(self, trained):
         ds, sp, pool = trained
         rset = form_set(pool, 5.0)

@@ -460,6 +460,52 @@ class TestCli:
         assert f"pool archive {archive}: model {index}: {message}" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    @pytest.fixture(scope="class")
+    def seed_42_archive(self, linear_csv, tmp_path_factory):
+        """A two-model pool saved by `explain` on linear_csv at --seed 42."""
+        archive = tmp_path_factory.mktemp("archive") / "pool.json"
+        code = main([
+            "explain", "--data", linear_csv, "--target", "y", "--feature", "x1",
+            "--max-models", "2", "--bootstrap", "20", "--grid", "4", "--seed", "42",
+            "--save-pool", str(archive), "--out", str(archive.parent / "o"),
+        ])
+        assert code == 0
+        return archive
+
+    @pytest.mark.parametrize("data, flags", [
+        ("linear", ["--seed", "7"]),
+        ("linear", ["--test-fraction", "0.3"]),
+        ("other", []),
+    ], ids=["another seed", "another test fraction", "other same-width data"])
+    def test_archive_scored_on_other_rows_exit_three(self, linear_csv, seed_42_archive,
+                                                     tmp_path, capsys, data, flags):
+        if data == "other":
+            linear_csv = str(tmp_path / "other.csv")
+            save_csv(make_linear(n_rows=120, noise=0.2, seed=6, name="other"), linear_csv)
+        stored = json.loads(seed_42_archive.read_text(encoding="utf-8"))["models"][0]["score"]
+        code = main([
+            "explain", "--data", linear_csv, "--target", "y", "--seed", "42", *flags,
+            "--load-pool", str(seed_42_archive), "--out", str(tmp_path / "o"),
+        ])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert f"pool archive {seed_42_archive}: model 0: holdout RMSE on this data is " in err
+        assert f"the archive says {stored!r}" in err
+        assert not (tmp_path / "o").exists()
+
+    def test_archive_of_another_width_exit_three(self, seed_42_archive, tmp_path, capsys):
+        wide = tmp_path / "wide.csv"
+        save_csv(make_linear(n_rows=120, noise=0.2, seed=5, n_noise_features=8, name="wide"),
+                 wide)
+        code = main([
+            "explain", "--data", str(wide), "--target", "y", "--seed", "42",
+            "--load-pool", str(seed_42_archive), "--out", str(tmp_path / "o"),
+        ])
+        assert code == 3
+        assert (f"pool archive {seed_42_archive}: model 0: cannot predict this data's test rows"
+                in capsys.readouterr().err)
+        assert not (tmp_path / "o").exists()
+
     @pytest.mark.parametrize("flags, config", [
         (["--feature", ""], None),
         (["--feature", " "], None),
@@ -489,6 +535,22 @@ class TestCli:
                 in capsys.readouterr().err)
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("flags, config", [
+        (["--feature", "x1", "--feature", "x2", "--feature", "x1"], None),
+        ([], "features = x1,x1\n"),
+    ], ids=["flags", "config"])
+    def test_feature_named_twice_exit_one(self, linear_csv, tmp_path, capsys, flags, config):
+        if config is not None:
+            (tmp_path / "run.cfg").write_text(config, encoding="utf-8")
+            flags = ["--config", str(tmp_path / "run.cfg")]
+        code = main([
+            "explain", "--data", linear_csv, "--target", "y", *flags,
+            "--out", str(tmp_path / "o"),
+        ])
+        assert code == 1
+        assert "dataset 'linear': feature 'x1' is named more than once" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     def test_suite_datasets_sharing_a_directory_exit_one(self, tmp_path, capsys):
         listing = []
         for name in ("a", "b"):
@@ -505,6 +567,22 @@ class TestCli:
         err = capsys.readouterr().err
         assert str(tmp_path / "a" / "data.csv") in err
         assert f"{tmp_path / 'b' / 'data.csv'}' both write to {tmp_path / 's' / 'data'}" in err
+        assert not (tmp_path / "s").exists()
+
+    def test_suite_dataset_writing_into_suite_out_exit_one(self, tmp_path, capsys):
+        configs = tmp_path / "configs"
+        configs.mkdir()
+        for name, out in (("d0", ""), ("d1", "out = ../s\n")):
+            save_csv(make_linear(n_rows=40, noise=0.3, seed=1, name=name),
+                     configs / f"{name}.csv")
+            (configs / f"{name}.cfg").write_text(f"data = {name}.csv\ntarget = y\n{out}",
+                                                 encoding="utf-8")
+        (configs / "suite.txt").write_text("d0.cfg\nd1.cfg\n", encoding="utf-8")
+        code = main(["suite", "--configs", str(configs / "suite.txt"),
+                     "--out", str(tmp_path / "s")])
+        assert code == 1
+        assert (f"suite dataset '{configs / 'd1.csv'}' writes to {configs / '..' / 's'}, "
+                "the suite's own output directory" in capsys.readouterr().err)
         assert not (tmp_path / "s").exists()
 
     def test_explain_rejects_workers_below_one(self, linear_csv, tmp_path, capsys):
