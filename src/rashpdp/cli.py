@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from dataclasses import replace
 
 from .errors import ConfigError, DataError
 from .metrics import CorrelationResult
@@ -77,18 +78,10 @@ def _explain_config(args: argparse.Namespace) -> RunConfig:
             defaults=cfg,
         )
     overrides = {f.key: getattr(args, f.key) for f in CONFIG_FIELDS
-                 if getattr(args, f.key) is not None}
-    if "features" in overrides:
-        if not all(name.strip() for name in overrides["features"]):
-            raise ConfigError("--feature needs a non-blank name")
-        overrides["features"] = ",".join(overrides["features"])
+                 if f.key != "features" and getattr(args, f.key) is not None}
     cfg = config_from_mapping(overrides, defaults=cfg)
-    if not cfg.data_path:
-        raise ConfigError("--data is required (flag or config file)")
-    if not cfg.target_column:
-        raise ConfigError("--target is required (flag or config file)")
-    if not cfg.out_dir:
-        raise ConfigError("--out is required (flag or config file)")
+    if args.features is not None:
+        cfg = replace(cfg, features=tuple(name.strip() for name in args.features))
     return cfg
 
 
@@ -103,13 +96,10 @@ def _read_suite_configs(path: str) -> list[RunConfig]:
             if not text or text.startswith("#"):
                 continue
             cfg_path = text if os.path.isabs(text) else os.path.join(base, text)
-            cfg = config_from_mapping(
+            configs.append(config_from_mapping(
                 parse_config_file(cfg_path),
                 base_dir=os.path.dirname(os.path.abspath(cfg_path)),
-            )
-            if not cfg.data_path or not cfg.target_column:
-                raise ConfigError(f"{cfg_path}: 'data' and 'target' are required")
-            configs.append(cfg)
+            ))
     if not configs:
         raise ConfigError(f"suite file {path} lists no configurations")
     return configs

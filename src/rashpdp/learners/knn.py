@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .linear import check_scaling
+from .linear import check_scaling, standardization
 
 _QUERY_CHUNK = 2048
 
@@ -34,11 +34,8 @@ class KNearestNeighborsRegression:
     def fit(self, X: np.ndarray, y: np.ndarray) -> "KNearestNeighborsRegression":
         X = np.asarray(X, dtype=np.float64)
         y = np.asarray(y, dtype=np.float64)
-        self.center_ = X.mean(axis=0)
-        scale = X.std(axis=0)
-        scale[scale == 0.0] = 1.0
-        self.scale_ = scale
-        self.train_z_ = (X - self.center_) / scale
+        self.center_, self.scale_ = standardization(X)
+        self.train_z_ = (X - self.center_) / self.scale_
         self.train_y_ = y.copy()
         return self
 
@@ -69,7 +66,6 @@ class KNearestNeighborsRegression:
                 has_zero = zero.any(axis=1)
                 w = np.zeros_like(nd2)
                 np.divide(1.0, np.sqrt(nd2), out=w, where=~zero)
-                w[zero] = 0.0
                 pred = np.empty(zq.shape[0])
                 nz = ~has_zero
                 pred[nz] = (w[nz] * ny[nz]).sum(axis=1) / w[nz].sum(axis=1)

@@ -26,11 +26,8 @@ class RidgeRegression:
     def fit(self, X: np.ndarray, y: np.ndarray) -> "RidgeRegression":
         X = np.asarray(X, dtype=np.float64)
         y = np.asarray(y, dtype=np.float64)
-        self.center_ = X.mean(axis=0)
-        scale = X.std(axis=0)
-        scale[scale == 0.0] = 1.0
-        self.scale_ = scale
-        Z = (X - self.center_) / scale
+        self.center_, self.scale_ = standardization(X)
+        Z = (X - self.center_) / self.scale_
         y_mean = y.mean()
         gram = Z.T @ Z + self.alpha * np.eye(X.shape[1])
         self.coef_ = np.linalg.solve(gram, Z.T @ (y - y_mean))
@@ -48,6 +45,13 @@ class RidgeRegression:
             raise ValueError(f"RidgeRegression field 'coef': shape {self.coef_.shape}, "
                              f"expected a vector")
         check_scaling(self, self.coef_.size, "coef")
+
+
+def standardization(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Column means and standard deviations of `X`, a zero deviation set to 1."""
+    scale = X.std(axis=0)
+    scale[scale == 0.0] = 1.0
+    return X.mean(axis=0), scale
 
 
 def check_scaling(model, width: int, source: str) -> None:

@@ -42,26 +42,11 @@ class RunConfig:
     out_dir: str = ""
 
     def validate(self) -> None:
-        if not self.data_path:
-            raise ConfigError("data path is required")
-        if not self.target_column:
-            raise ConfigError("target column is required")
-        if self.epsilon <= 0:
-            raise ConfigError(f"epsilon must be > 0, got {self.epsilon}")
-        if self.max_models < 1:
-            raise ConfigError(f"max_models must be >= 1, got {self.max_models}")
-        if not self.max_runtime_secs > 0:
-            raise ConfigError(f"max_runtime_secs must be > 0, got {self.max_runtime_secs}")
-        if not 0.0 < self.test_fraction < 1.0:
-            raise ConfigError(f"test_fraction must be in (0, 1), got {self.test_fraction}")
-        if self.grid_size < 2:
-            raise ConfigError(f"grid size must be >= 2, got {self.grid_size}")
-        if self.n_boot < 1:
-            raise ConfigError(f"bootstrap count must be >= 1, got {self.n_boot}")
-        if not 0.0 < self.alpha < 1.0:
-            raise ConfigError(f"alpha must be in (0, 1), got {self.alpha}")
-        if self.seed < 0:
-            raise ConfigError(f"seed must be >= 0, got {self.seed}")
+        """Check every field against its CONFIG_FIELDS rule, in table order."""
+        for f in CONFIG_FIELDS:
+            value = getattr(self, f.attr)
+            if not f.holds(value):
+                raise ConfigError(f"{f.key} must be {f.rule}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -95,38 +80,40 @@ def _path(text: str) -> str:
 
 
 def _names(text: str) -> tuple[str, ...]:
-    names = tuple(s.strip() for s in text.split(",")) if text.strip() else ()
-    if "" in names:
-        raise ValueError(f"blank feature name in '{text}'")
-    return names
+    return tuple(s.strip() for s in text.split(",")) if text.strip() else ()
 
 
 class ConfigField(NamedTuple):
     """One run-config key: its name in config files, `config.echo` and
-    metrics.json, the RunConfig field it sets, and the parser of its text.
-    `explain` takes it as `--<key>` with '-' for '_' (features: `--feature`,
+    metrics.json, the RunConfig field it sets, the parser of its text, and
+    the rule its value must meet (`rule` completes "<key> must be"; `holds`
+    tests it, stated positively so that NaN fails). `explain` takes it as
+    `--<key>` with '-' for '_' (features: `--feature`, one name per flag,
     repeatable)."""
 
     key: str
     attr: str
     parse: Callable[[str], Any]
+    rule: str
+    holds: Callable[[Any], bool]
     help: str | None = None
 
 
 CONFIG_FIELDS = (
-    ConfigField("data", "data_path", _path, "input CSV path"),
-    ConfigField("target", "target_column", str, "target column name"),
-    ConfigField("features", "features", _names,
-                "feature to profile (repeatable; default: all)"),
-    ConfigField("epsilon", "epsilon", float),
-    ConfigField("max_models", "max_models", int),
-    ConfigField("max_runtime_secs", "max_runtime_secs", float),
-    ConfigField("test_fraction", "test_fraction", float),
-    ConfigField("grid", "grid_size", int),
-    ConfigField("bootstrap", "n_boot", int),
-    ConfigField("alpha", "alpha", float),
-    ConfigField("seed", "seed", int),
-    ConfigField("out", "out_dir", _path, "output directory"),
+    ConfigField("data", "data_path", _path, "set", bool, "input CSV path"),
+    ConfigField("target", "target_column", str, "set", bool, "target column name"),
+    ConfigField("features", "features", _names, "non-blank names without ','",
+                lambda names: all(name.strip() and "," not in name for name in names),
+                "feature to profile, one name per flag (repeatable; default: all)"),
+    ConfigField("epsilon", "epsilon", float, "> 0", lambda v: v > 0),
+    ConfigField("max_models", "max_models", int, ">= 1", lambda v: v >= 1),
+    ConfigField("max_runtime_secs", "max_runtime_secs", float, "> 0", lambda v: v > 0),
+    ConfigField("test_fraction", "test_fraction", float, "in (0, 1)", lambda v: 0 < v < 1),
+    ConfigField("grid", "grid_size", int, ">= 2", lambda v: v >= 2),
+    ConfigField("bootstrap", "n_boot", int, ">= 1", lambda v: v >= 1),
+    ConfigField("alpha", "alpha", float, "in (0, 1)", lambda v: 0 < v < 1),
+    ConfigField("seed", "seed", int, ">= 0", lambda v: v >= 0),
+    ConfigField("out", "out_dir", _path, "set", bool, "output directory"),
 )
 
 
@@ -280,8 +267,6 @@ def run_dataset(cfg: RunConfig, load_pool_path: str | None = None,
     feature name). Output bytes are a pure function of cfg.
     """
     cfg.validate()
-    if not cfg.out_dir:
-        raise ConfigError("output directory is required")
     try:
         ds = load_csv(cfg.data_path, cfg.target_column)
     except DataError as exc:
@@ -391,10 +376,16 @@ def run_suite(configs: list[RunConfig], out_dir: str):
     if not configs:
         raise ConfigError("suite needs at least one dataset configuration")
     runs: dict[str, RunConfig] = {}  # absolute output directory -> its run
-    for cfg in configs:
+    for position, cfg in enumerate(configs, start=1):
         sub_dir = cfg.out_dir or os.path.join(
             out_dir, _safe_filename(os.path.splitext(os.path.basename(cfg.data_path))[0])
         )
+        try:
+            replace(cfg, out_dir=sub_dir).validate()
+        except ConfigError as exc:
+            raise ConfigError(f"suite entry {position} ('{cfg.data_path}'): {exc}") from None
+        if not os.path.isfile(cfg.data_path):
+            raise DataError(f"suite entry {position}: no such file: {cfg.data_path}")
         key = os.path.abspath(sub_dir)
         if key == os.path.abspath(out_dir):
             raise ConfigError(f"suite dataset '{cfg.data_path}' writes to {sub_dir}, "

@@ -7,6 +7,7 @@ import json
 import math
 import os
 import xml.etree.ElementTree as ET
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -24,6 +25,7 @@ from rashpdp.learners import (
 )
 from rashpdp.pdp import PdpCurve, RashomonPdpResult
 from rashpdp.report import (
+    CONFIG_FIELDS,
     RunConfig,
     SuiteSummaryRow,
     config_from_mapping,
@@ -85,6 +87,32 @@ class TestSummaryCsv:
             read_summary_csv(path)
 
 
+# (config key, a value its rule rejects, the message validate() raises)
+RULE_CASES = [
+    ("data", "", "data must be set, got ''"),
+    ("target", "", "target must be set, got ''"),
+    ("features", ("x1", ""), "features must be non-blank names without ',', got ('x1', '')"),
+    ("features", (" ",), "features must be non-blank names without ',', got (' ',)"),
+    ("features", ("x1,x2",), "features must be non-blank names without ',', got ('x1,x2',)"),
+    ("epsilon", -1.0, "epsilon must be > 0, got -1.0"),
+    ("epsilon", 0.0, "epsilon must be > 0, got 0.0"),
+    ("epsilon", math.nan, "epsilon must be > 0, got nan"),
+    ("max_models", 0, "max_models must be >= 1, got 0"),
+    ("max_runtime_secs", 0.0, "max_runtime_secs must be > 0, got 0.0"),
+    ("max_runtime_secs", math.nan, "max_runtime_secs must be > 0, got nan"),
+    ("test_fraction", 0.0, "test_fraction must be in (0, 1), got 0.0"),
+    ("test_fraction", 1.0, "test_fraction must be in (0, 1), got 1.0"),
+    ("test_fraction", math.nan, "test_fraction must be in (0, 1), got nan"),
+    ("grid", 1, "grid must be >= 2, got 1"),
+    ("bootstrap", 0, "bootstrap must be >= 1, got 0"),
+    ("alpha", 0.0, "alpha must be in (0, 1), got 0.0"),
+    ("alpha", 1.0, "alpha must be in (0, 1), got 1.0"),
+    ("alpha", math.nan, "alpha must be in (0, 1), got nan"),
+    ("seed", -1, "seed must be >= 0, got -1"),
+    ("out", "", "out must be set, got ''"),
+]
+
+
 class TestConfigFiles:
     def test_parse_and_build(self, tmp_path):
         cfg_file = tmp_path / "run.cfg"
@@ -128,11 +156,18 @@ class TestConfigFiles:
         assert final.seed == 42
         assert final.data_path == str(tmp_path / "d.csv")
 
-    def test_validation_errors(self):
-        with pytest.raises(ConfigError, match="epsilon"):
-            RunConfig(data_path="d", target_column="y", epsilon=-1).validate()
-        with pytest.raises(ConfigError, match="alpha"):
-            RunConfig(data_path="d", target_column="y", alpha=1.0).validate()
+    @pytest.mark.parametrize("key, value, message", RULE_CASES,
+                             ids=[f"{key}={value!r}" for key, value, _ in RULE_CASES])
+    def test_validation_errors(self, key, value, message):
+        attr = next(f.attr for f in CONFIG_FIELDS if f.key == key)
+        cfg = RunConfig(data_path="d", target_column="y", out_dir="o")
+        cfg.validate()
+        with pytest.raises(ConfigError) as info:
+            replace(cfg, **{attr: value}).validate()
+        assert str(info.value) == message
+
+    def test_every_config_key_has_a_rule_case(self):
+        assert {key for key, _, _ in RULE_CASES} == {f.key for f in CONFIG_FIELDS}
 
 
 class TestRunDataset:
@@ -583,6 +618,48 @@ class TestCli:
         assert code == 1
         assert (f"suite dataset '{configs / 'd1.csv'}' writes to {configs / '..' / 's'}, "
                 "the suite's own output directory" in capsys.readouterr().err)
+        assert not (tmp_path / "s").exists()
+
+    def test_nan_epsilon_exit_one_before_training(self, linear_csv, tmp_path, capsys,
+                                                  monkeypatch):
+        def no_training(*args, **kwargs):
+            raise AssertionError("train_pool was called")
+
+        monkeypatch.setattr("rashpdp.report.train_pool", no_training)
+        code = main(["explain", "--data", linear_csv, "--target", "y", "--epsilon", "nan",
+                     "--out", str(tmp_path / "o")])
+        assert code == 1
+        assert "epsilon must be > 0, got nan" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_feature_flag_with_comma_exit_one(self, linear_csv, tmp_path, capsys):
+        code = main(["explain", "--data", linear_csv, "--target", "y", "--feature", "x1,x2",
+                     "--out", str(tmp_path / "o")])
+        assert code == 1
+        assert ("features must be non-blank names without ',', got ('x1,x2',)"
+                in capsys.readouterr().err)
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("second_config, code, message", [
+        ("data = d1.csv\ntarget = y\nepsilon = 0\n", 1, "epsilon must be > 0, got 0.0"),
+        ("data = d1.csv\n", 1, "target must be set, got ''"),
+        ("data = absent.csv\ntarget = y\n", 2, "no such file: {configs}/absent.csv"),
+    ], ids=["zero epsilon", "no target", "missing data file"])
+    def test_suite_checks_every_entry_before_running(self, tmp_path, capsys, second_config,
+                                                     code, message):
+        configs = tmp_path / "configs"
+        configs.mkdir()
+        for name in ("d0", "d1"):
+            save_csv(make_linear(n_rows=40, noise=0.3, seed=1, name=name),
+                     configs / f"{name}.csv")
+        (configs / "d0.cfg").write_text("data = d0.csv\ntarget = y\n", encoding="utf-8")
+        (configs / "d1.cfg").write_text(second_config, encoding="utf-8")
+        (configs / "suite.txt").write_text("d0.cfg\nd1.cfg\n", encoding="utf-8")
+        assert main(["suite", "--configs", str(configs / "suite.txt"),
+                     "--out", str(tmp_path / "s")]) == code
+        err = capsys.readouterr().err
+        assert "suite entry 2" in err
+        assert message.format(configs=configs) in err
         assert not (tmp_path / "s").exists()
 
     def test_explain_rejects_workers_below_one(self, linear_csv, tmp_path, capsys):
