@@ -19,7 +19,7 @@ from .report import (
     RunConfig,
     config_from_mapping,
     correlate_summary,
-    parse_config_file,
+    read_config_file,
     run_dataset,
     run_suite,
 )
@@ -72,11 +72,7 @@ def _build_parser() -> _Parser:
 def _explain_config(args: argparse.Namespace) -> RunConfig:
     cfg = RunConfig(data_path="", target_column="")
     if args.config:
-        cfg = config_from_mapping(
-            parse_config_file(args.config),
-            base_dir=os.path.dirname(os.path.abspath(args.config)),
-            defaults=cfg,
-        )
+        cfg = read_config_file(args.config, defaults=cfg)
     overrides = {f.key: getattr(args, f.key) for f in CONFIG_FIELDS
                  if f.key != "features" and getattr(args, f.key) is not None}
     cfg = config_from_mapping(overrides, defaults=cfg)
@@ -96,10 +92,7 @@ def _read_suite_configs(path: str) -> list[RunConfig]:
             if not text or text.startswith("#"):
                 continue
             cfg_path = text if os.path.isabs(text) else os.path.join(base, text)
-            configs.append(config_from_mapping(
-                parse_config_file(cfg_path),
-                base_dir=os.path.dirname(os.path.abspath(cfg_path)),
-            ))
+            configs.append(read_config_file(cfg_path))
     if not configs:
         raise ConfigError(f"suite file {path} lists no configurations")
     return configs

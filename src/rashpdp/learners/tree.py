@@ -12,7 +12,9 @@ class RegressionTree:
     equivalent to maximizing variance reduction. Thresholds are midpoints
     between consecutive distinct sorted values; rows with x <= threshold go
     left. Feature scan order breaks ties, so fitting is fully deterministic
-    for a given feature-candidate sequence.
+    for a given feature-candidate sequence. Each feature is sorted once per
+    tree and a split's children inherit their sorted rows, which grows the
+    same trees, byte for byte, as sorting every feature at every node.
     """
 
     FITTED = dict(feature=np.intp, threshold=np.float64, left=np.intp, right=np.intp,
@@ -56,15 +58,20 @@ class RegressionTree:
             value.append(0.0)
             return len(feature) - 1
 
+        # Each feature's rows by increasing x, ties in row order. A node keeps
+        # its rows in row order, so filtering its parent's lists by its rows
+        # gives the stable sort of its own rows: no node sorts again.
         root = new_node()
-        stack: list[tuple[int, np.ndarray, int]] = [(root, np.arange(n, dtype=np.intp), 0)]
+        go = np.zeros(n, dtype=bool)
+        stack = [(root, np.arange(n, dtype=np.intp), np.argsort(X.T, axis=1, kind="stable"), 0)]
         while stack:
-            node, rows, depth = stack.pop()
+            node, rows, order, depth = stack.pop()
             ys = y[rows]
-            value[node] = float(ys.mean())
+            mean = ys.mean()
+            value[node] = float(mean)
             if depth >= self.max_depth or rows.size < 2 * self.min_samples_leaf:
                 continue
-            node_sse = float(np.sum((ys - ys.mean()) ** 2))
+            node_sse = float(np.sum((ys - mean) ** 2))
             if node_sse <= 0.0:
                 continue
 
@@ -72,37 +79,32 @@ class RegressionTree:
                 candidates = np.sort(rng.choice(p, size=self.max_features, replace=False))
             else:
                 candidates = np.arange(p)
-
-            best_sse = node_sse
-            best_feat = -1
-            best_thr = 0.0
-            for f in candidates:
-                xs = X[rows, f]
-                order = np.argsort(xs, kind="stable")
-                xs_sorted = xs[order]
-                if xs_sorted[0] == xs_sorted[-1]:
-                    continue
-                ys_sorted = ys[order]
-                cum = np.cumsum(ys_sorted)
-                cumsq = np.cumsum(ys_sorted * ys_sorted)
-                n_left = np.arange(1, rows.size)
-                n_right = rows.size - n_left
-                valid = (xs_sorted[1:] > xs_sorted[:-1])
-                valid &= n_left >= self.min_samples_leaf
-                valid &= n_right >= self.min_samples_leaf
-                if not valid.any():
-                    continue
-                sse_left = cumsq[:-1] - cum[:-1] ** 2 / n_left
-                sse_right = (cumsq[-1] - cumsq[:-1]) - (cum[-1] - cum[:-1]) ** 2 / n_right
-                child_sse = sse_left + sse_right
-                child_sse[~valid] = np.inf
-                k = int(np.argmin(child_sse))
-                if child_sse[k] < best_sse:
-                    best_sse = float(child_sse[k])
-                    best_feat = int(f)
-                    best_thr = float((xs_sorted[k] + xs_sorted[k + 1]) / 2.0)
-            if best_feat < 0:
+            if not candidates.size:
                 continue
+
+            # Score every candidate feature at once, one row per feature.
+            ranked = order[candidates]
+            xs = X[ranked, candidates[:, None]]
+            ys_sorted = y[ranked]
+            cum = np.cumsum(ys_sorted, axis=1)
+            cumsq = np.cumsum(ys_sorted * ys_sorted, axis=1)
+            n_left = np.arange(1, rows.size)
+            n_right = rows.size - n_left
+            valid = xs[:, 1:] > xs[:, :-1]
+            valid &= (n_left >= self.min_samples_leaf) & (n_right >= self.min_samples_leaf)
+            sse_left = cumsq[:, :-1] - cum[:, :-1] ** 2 / n_left
+            sse_right = ((cumsq[:, -1:] - cumsq[:, :-1])
+                         - (cum[:, -1:] - cum[:, :-1]) ** 2 / n_right)
+            child_sse = sse_left + sse_right
+            child_sse[~valid] = np.inf
+            k = np.argmin(child_sse, axis=1)
+            best = child_sse[np.arange(k.size), k]
+            # the first feature with the least SSE strictly below the node's
+            c = int(np.argmin(np.where(best < node_sse, best, np.inf)))
+            if not best[c] < node_sse:
+                continue
+            best_feat = int(candidates[c])
+            best_thr = float((xs[c, k[c]] + xs[c, k[c] + 1]) / 2.0)
 
             go_left = X[rows, best_feat] <= best_thr
             left_rows = rows[go_left]
@@ -117,8 +119,11 @@ class RegressionTree:
             rid = new_node()
             left[node] = lid
             right[node] = rid
-            stack.append((rid, right_rows, depth + 1))
-            stack.append((lid, left_rows, depth + 1))
+            go[left_rows] = True
+            goes_left = go[order]
+            go[left_rows] = False
+            stack.append((rid, right_rows, order[~goes_left].reshape(p, -1), depth + 1))
+            stack.append((lid, left_rows, order[goes_left].reshape(p, -1), depth + 1))
 
         self.feature = np.asarray(feature, dtype=np.intp)
         self.threshold = np.asarray(threshold, dtype=np.float64)

@@ -158,6 +158,17 @@ def config_from_mapping(values: dict[str, str], base_dir: str = "",
     return replace(cfg, **updates)
 
 
+def read_config_file(path: str, defaults: RunConfig | None = None) -> RunConfig:
+    """The RunConfig of a config file, its relative paths resolved against the
+    file's directory; a value that does not parse is reported with the file."""
+    values = parse_config_file(path)
+    try:
+        return config_from_mapping(values, base_dir=os.path.dirname(os.path.abspath(path)),
+                                   defaults=defaults)
+    except ConfigError as exc:
+        raise ConfigError(f"{path}: {exc}") from None
+
+
 def _config_values(cfg: RunConfig) -> dict[str, Any]:
     """The config as metrics.json records it, keyed and ordered as CONFIG_FIELDS."""
     return {f.key: getattr(cfg, f.attr) for f in CONFIG_FIELDS}

@@ -56,3 +56,96 @@ def tiny_dataset() -> Dataset:
         target=y,
         target_name="y",
     )
+
+
+def fit_per_node(tree, X, y, rng=None):
+    """The grower `RegressionTree.fit` replaced, kept as its oracle: it sorts
+    each candidate feature anew at every node. Sets the tree's node arrays."""
+    X = np.asarray(X, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64)
+    n, p = X.shape
+    if tree.max_features is not None and rng is None:
+        raise ValueError("feature subsampling requires an rng")
+
+    feature: list[int] = []
+    threshold: list[float] = []
+    left: list[int] = []
+    right: list[int] = []
+    value: list[float] = []
+
+    def new_node() -> int:
+        feature.append(-1)
+        threshold.append(0.0)
+        left.append(-1)
+        right.append(-1)
+        value.append(0.0)
+        return len(feature) - 1
+
+    root = new_node()
+    stack: list[tuple[int, np.ndarray, int]] = [(root, np.arange(n, dtype=np.intp), 0)]
+    while stack:
+        node, rows, depth = stack.pop()
+        ys = y[rows]
+        value[node] = float(ys.mean())
+        if depth >= tree.max_depth or rows.size < 2 * tree.min_samples_leaf:
+            continue
+        node_sse = float(np.sum((ys - ys.mean()) ** 2))
+        if node_sse <= 0.0:
+            continue
+
+        if tree.max_features is not None and tree.max_features < p:
+            candidates = np.sort(rng.choice(p, size=tree.max_features, replace=False))
+        else:
+            candidates = np.arange(p)
+
+        best_sse = node_sse
+        best_feat = -1
+        best_thr = 0.0
+        for f in candidates:
+            xs = X[rows, f]
+            order = np.argsort(xs, kind="stable")
+            xs_sorted = xs[order]
+            if xs_sorted[0] == xs_sorted[-1]:
+                continue
+            ys_sorted = ys[order]
+            cum = np.cumsum(ys_sorted)
+            cumsq = np.cumsum(ys_sorted * ys_sorted)
+            n_left = np.arange(1, rows.size)
+            n_right = rows.size - n_left
+            valid = (xs_sorted[1:] > xs_sorted[:-1])
+            valid &= n_left >= tree.min_samples_leaf
+            valid &= n_right >= tree.min_samples_leaf
+            if not valid.any():
+                continue
+            sse_left = cumsq[:-1] - cum[:-1] ** 2 / n_left
+            sse_right = (cumsq[-1] - cumsq[:-1]) - (cum[-1] - cum[:-1]) ** 2 / n_right
+            child_sse = sse_left + sse_right
+            child_sse[~valid] = np.inf
+            k = int(np.argmin(child_sse))
+            if child_sse[k] < best_sse:
+                best_sse = float(child_sse[k])
+                best_feat = int(f)
+                best_thr = float((xs_sorted[k] + xs_sorted[k + 1]) / 2.0)
+        if best_feat < 0:
+            continue
+
+        go_left = X[rows, best_feat] <= best_thr
+        left_rows = rows[go_left]
+        right_rows = rows[~go_left]
+        if left_rows.size == 0 or right_rows.size == 0:
+            continue
+        feature[node] = best_feat
+        threshold[node] = best_thr
+        lid = new_node()
+        rid = new_node()
+        left[node] = lid
+        right[node] = rid
+        stack.append((rid, right_rows, depth + 1))
+        stack.append((lid, left_rows, depth + 1))
+
+    tree.feature = np.asarray(feature, dtype=np.intp)
+    tree.threshold = np.asarray(threshold, dtype=np.float64)
+    tree.left = np.asarray(left, dtype=np.intp)
+    tree.right = np.asarray(right, dtype=np.intp)
+    tree.value = np.asarray(value, dtype=np.float64)
+    return tree

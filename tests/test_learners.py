@@ -154,6 +154,16 @@ class TestRegressionTree:
         tree = RegressionTree(max_depth=1).fit(X, y)
         assert tree.feature[0] == 1
 
+    def test_degenerate_midpoint_leaves_one_leaf(self):
+        # adjacent floats whose midpoint rounds up to the larger one, so
+        # `x <= threshold` sends both rows left and the split is dropped
+        a = np.nextafter(1.0, 2.0)
+        b = np.nextafter(a, 2.0)
+        assert (a + b) / 2.0 == b
+        tree = RegressionTree().fit(np.array([[a], [b]]), np.array([0.0, 1.0]))
+        assert tree.feature.tolist() == [-1]
+        assert tree.value.tolist() == [0.5]
+
 
 class TestTrainPool:
     def test_single_model_budget(self, tiny_dataset):

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import copy
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -12,7 +14,7 @@ from rashpdp.metrics import coverage_rate, mwci
 from rashpdp.pdp import PdpCurve, RashomonPdpResult, bootstrap_bands, rashomon_pdp
 from rashpdp.rashomon import form_set
 
-from conftest import stub_pool
+from conftest import fit_per_node, stub_pool
 
 COMMON = settings(max_examples=100, deadline=None)
 
@@ -230,6 +232,47 @@ def test_predict_many_equals_per_row_walk(fitted, values):
         for rows in (base, X, base[:0]):
             walked = np.array([_walk(tree, x) for x in rows], dtype=np.float64)
             assert tree.predict_many(rows).tobytes() == walked.tobytes()
+
+
+# --- presorted growth equals the per-node grower -----------------------------
+
+@st.composite
+def tree_fits(draw):
+    """Training data with tied values, bootstrap-duplicated rows, constant
+    and copied columns, a tree's settings and the seed of the rng it draws
+    candidate features from."""
+    n, p = draw(st.integers(1, 30)), draw(st.integers(1, 4))
+    columns = []
+    for _ in range(p):
+        kind = draw(st.sampled_from(["levels", "constant", "copy"]))
+        if kind == "levels" or not columns:  # integer values: ties in x
+            columns.append(draw(st.lists(levels, min_size=n, max_size=n)))
+        elif kind == "constant":
+            columns.append([draw(levels)] * n)
+        else:  # equal SSE on two features: the first must win
+            columns.append(columns[0])
+    X = np.asarray(columns, dtype=np.float64).T
+    y = np.asarray(draw(st.lists(st.one_of(levels, finite), min_size=n, max_size=n)))
+    seed = draw(seeds)
+    if draw(st.booleans()):  # rows duplicated as a bootstrap sample does
+        rows = np.random.default_rng(seed).integers(0, n, n)
+        X, y = X[rows], y[rows]
+    tree = RegressionTree(max_depth=draw(st.integers(1, 8)),
+                          min_samples_leaf=draw(st.integers(1, n // 2 + 2)),
+                          max_features=draw(st.one_of(st.none(), st.integers(0, p))))
+    return tree, X, y, seed
+
+
+@COMMON
+@given(case=tree_fits())
+def test_presorted_fit_equals_per_node_grower(case):
+    tree, X, y, seed = case
+    rng, oracle_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    oracle = fit_per_node(copy.copy(tree), X, y, oracle_rng)
+    grown = tree.fit(X, y, rng)
+    for name in RegressionTree.FITTED:
+        assert getattr(grown, name).tobytes() == getattr(oracle, name).tobytes(), name
+    assert rng.random() == oracle_rng.random()
 
 
 # --- supporting invariants ----------------------------------------------------

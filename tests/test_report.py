@@ -662,6 +662,32 @@ class TestCli:
         assert message.format(configs=configs) in err
         assert not (tmp_path / "s").exists()
 
+    def test_explain_config_value_that_does_not_parse_names_the_file(self, linear_csv,
+                                                                     tmp_path, capsys):
+        cfg_file = tmp_path / "run.cfg"
+        cfg_file.write_text(f"data = {linear_csv}\ntarget = y\nepsilon = abc\n",
+                            encoding="utf-8")
+        code = main(["explain", "--config", str(cfg_file), "--out", str(tmp_path / "o")])
+        assert code == 1
+        assert (f"error: {cfg_file}: invalid config value for 'epsilon': "
+                in capsys.readouterr().err)
+        assert not (tmp_path / "o").exists()
+
+    def test_suite_config_value_that_does_not_parse_names_the_file(self, tmp_path, capsys):
+        configs = tmp_path / "configs"
+        configs.mkdir()
+        save_csv(make_linear(n_rows=40, noise=0.3, seed=1, name="d0"), configs / "d0.csv")
+        (configs / "d0.cfg").write_text("data = d0.csv\ntarget = y\n", encoding="utf-8")
+        (configs / "d1.cfg").write_text("data = d0.csv\ntarget = y\ngrid = 2.5\n",
+                                        encoding="utf-8")
+        (configs / "suite.txt").write_text("d0.cfg\nd1.cfg\n", encoding="utf-8")
+        code = main(["suite", "--configs", str(configs / "suite.txt"),
+                     "--out", str(tmp_path / "s")])
+        assert code == 1
+        assert (f"error: {configs / 'd1.cfg'}: invalid config value for 'grid': "
+                in capsys.readouterr().err)
+        assert not (tmp_path / "s").exists()
+
     def test_explain_rejects_workers_below_one(self, linear_csv, tmp_path, capsys):
         code = main([
             "explain", "--data", linear_csv, "--target", "y", "--workers", "-3",
