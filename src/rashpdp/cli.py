@@ -29,7 +29,8 @@ EXIT_CONFIG = 1
 EXIT_DATA = 2
 EXIT_RUNTIME = 3
 
-WORKERS_HELP = "accepted (at least 1) and currently without effect; every run is serial"
+WORKERS_HELP = ("processes that train the model pool (at least 1); "
+                "outputs are the same bytes for any value")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -109,7 +110,7 @@ def _run(args: argparse.Namespace) -> int:
     if args.command == "explain":
         cfg = _explain_config(args)
         row, _ = run_dataset(cfg, load_pool_path=args.load_pool,
-                             save_pool_path=args.save_pool)
+                             save_pool_path=args.save_pool, workers=args.workers)
         rr = NA if row.rr is None else f"{row.rr:.4f}"
         cr = NA if row.cr is None else f"{row.cr:.4f}"
         print(f"{row.dataset}: bmp={row.bmp:.6g} mss={row.mss} rss={row.rss} "
@@ -117,7 +118,7 @@ def _run(args: argparse.Namespace) -> int:
         return EXIT_OK
     if args.command == "suite":
         configs = _read_suite_configs(args.configs)
-        rows, correlation, warnings = run_suite(configs, args.out)
+        rows, correlation, warnings = run_suite(configs, args.out, workers=args.workers)
         print(f"suite: {len(rows)} datasets -> {args.out}")
         for warning in warnings:
             print(f"warning: {warning}", file=sys.stderr)

@@ -25,7 +25,8 @@ class RandomForestRegression(TreeEnsemble):
     """Bagged trees with per-node feature subsampling.
 
     Each tree is grown on a bootstrap row sample; its rng is derived from
-    (seed, tree index) so parallel and serial fits would agree.
+    (seed, tree index), so the trees can be grown in ranges, in any process,
+    and joined in index order.
     """
 
     def __init__(self, n_estimators: int = 100, max_features: str = "sqrt", seed: int = 0):
@@ -34,12 +35,18 @@ class RandomForestRegression(TreeEnsemble):
         self.seed = int(seed)
 
     def fit(self, X: np.ndarray, y: np.ndarray) -> "RandomForestRegression":
+        self.trees_ = self.fit_trees(X, y, range(self.n_estimators))
+        return self
+
+    def fit_trees(self, X: np.ndarray, y: np.ndarray, trees: range) -> list[RegressionTree]:
+        """Grow the forest's trees numbered `trees`, leaving the forest as it is.
+        Tree t is the same whichever range grows it."""
         X = np.asarray(X, dtype=np.float64)
         y = np.asarray(y, dtype=np.float64)
         n, p = X.shape
         mtry = _resolve_max_features(self.max_features, p)
-        self.trees_ = []
-        for t in range(self.n_estimators):
+        grown = []
+        for t in trees:
             rng = np.random.default_rng(np.random.SeedSequence(self.seed, spawn_key=(t,)))
             rows = rng.integers(0, n, size=n)
             tree = RegressionTree(
@@ -47,9 +54,8 @@ class RandomForestRegression(TreeEnsemble):
                 min_samples_leaf=FOREST_MIN_SAMPLES_LEAF,
                 max_features=mtry,
             )
-            tree.fit(X[rows], y[rows], rng=rng)
-            self.trees_.append(tree)
-        return self
+            grown.append(tree.fit(X[rows], y[rows], rng=rng))
+        return grown
 
     def _combine(self, n: int, predictions) -> np.ndarray:
         return np.stack(list(predictions)).mean(axis=0)

@@ -26,6 +26,8 @@ class RegressionTree:
             raise ValueError(f"max_depth must be >= 1, got {max_depth}")
         if min_samples_leaf < 1:
             raise ValueError(f"min_samples_leaf must be >= 1, got {min_samples_leaf}")
+        if max_features is not None and max_features < 1:
+            raise ValueError(f"max_features must be >= 1 or None, got {max_features}")
         self.max_depth = int(max_depth)
         self.min_samples_leaf = int(min_samples_leaf)
         self.max_features = None if max_features is None else int(max_features)

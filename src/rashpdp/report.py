@@ -270,12 +270,13 @@ def _write_json(payload: dict[str, Any], path: str) -> None:
 
 
 def run_dataset(cfg: RunConfig, load_pool_path: str | None = None,
-                save_pool_path: str | None = None):
+                save_pool_path: str | None = None, workers: int = 1):
     """Execute the full pipeline for one dataset.
 
     Writes profile CSV + SVG per feature, metrics.json, config.echo, and a
     one-row summary.csv into cfg.out_dir; returns (summary row, results by
-    feature name). Output bytes are a pure function of cfg.
+    feature name). Output bytes are a pure function of cfg: `workers`, the
+    number of processes that train the pool, changes none of them.
     """
     cfg.validate()
     try:
@@ -306,7 +307,7 @@ def run_dataset(cfg: RunConfig, load_pool_path: str | None = None,
             max_runtime_secs=cfg.max_runtime_secs,
             seed=derive_seed(cfg.seed, ROLE_POOL),
         )
-        pool = train_pool(ds, sp, budget)
+        pool = train_pool(ds, sp, budget, workers=workers)
     if save_pool_path is not None:
         save_pool(pool, save_pool_path)
 
@@ -377,7 +378,7 @@ def run_dataset(cfg: RunConfig, load_pool_path: str | None = None,
     return row, results
 
 
-def run_suite(configs: list[RunConfig], out_dir: str):
+def run_suite(configs: list[RunConfig], out_dir: str, workers: int = 1):
     """Run several datasets and correlate Rashomon ratio against coverage.
 
     Emits the suite summary CSV plus suite_report.json; the correlation is
@@ -406,7 +407,7 @@ def run_suite(configs: list[RunConfig], out_dir: str):
                               f"both write to {sub_dir}")
         runs[key] = replace(cfg, out_dir=sub_dir)
     os.makedirs(out_dir, exist_ok=True)
-    rows = [run_dataset(run)[0] for run in runs.values()]
+    rows = [run_dataset(run, workers=workers)[0] for run in runs.values()]
 
     warnings: list[str] = []
     correlation = None

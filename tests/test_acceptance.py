@@ -172,28 +172,30 @@ def test_criterion_7_invariant_suite():
 
 def test_criterion_8_byte_identical_outputs(tmp_path):
     # noisy enough that several models tie, so the profiles average several
-    # member curves; --workers is accepted and must not change any byte
+    # member curves; the pool trained by 1, 2 or 4 worker processes and every
+    # output must be the same bytes
     data_path = tmp_path / "d.csv"
     save_csv(make_linear(n_rows=120, noise=3.0, seed=2, name="d"), data_path)
     from rashpdp.cli import main
 
     outputs = []
-    for label, workers in (("one", "1"), ("two", "1"), ("threaded", "4")):
-        out = tmp_path / label
+    for workers in ("1", "2", "4"):
+        out = tmp_path / f"workers{workers}"
+        out.mkdir()
         code = main([
             "explain", "--data", str(data_path), "--target", "y",
             "--feature", "x1", "--max-models", "5", "--bootstrap", "300",
             "--grid", "10", "--seed", "6", "--workers", workers,
-            "--out", str(out),
+            "--save-pool", str(out / "pool.json"), "--out", str(out),
         ])
         assert code == 0
         outputs.append(out)
     row = read_summary_csv(outputs[0] / "summary.csv")[0]
     assert row.rss >= 2
-    for name in ("profile_x1.csv", "profile_x1.svg", "summary.csv"):
+    for name in ("pool.json", "profile_x1.csv", "profile_x1.svg", "summary.csv"):
         blobs = [(o / name).read_bytes() for o in outputs]
         assert blobs[0] == blobs[1] == blobs[2], name
-    report(8, f"explain outputs byte-identical across reruns and worker counts "
+    report(8, f"pool and explain outputs byte-identical across 1, 2 and 4 workers "
               f"(rss={row.rss})")
 
 

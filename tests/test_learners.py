@@ -3,13 +3,16 @@
 from __future__ import annotations
 
 import copy
+import itertools
 import json
 import math
+import multiprocessing
 
 import numpy as np
 import pytest
 
 from rashpdp.data import split
+from rashpdp.learners import pool as pool_module
 from rashpdp.learners import (
     FAMILIES,
     GradientBoostingRegression,
@@ -154,6 +157,12 @@ class TestRegressionTree:
         tree = RegressionTree(max_depth=1).fit(X, y)
         assert tree.feature[0] == 1
 
+    @pytest.mark.parametrize("max_features", [0, -1])
+    def test_max_features_below_one_raises(self, max_features):
+        with pytest.raises(ValueError, match=f"max_features must be >= 1 or None, "
+                                             f"got {max_features}"):
+            RegressionTree(max_features=max_features)
+
     def test_degenerate_midpoint_leaves_one_leaf(self):
         # adjacent floats whose midpoint rounds up to the larger one, so
         # `x <= threshold` sends both rows left and the split is dropped
@@ -163,6 +172,21 @@ class TestRegressionTree:
         tree = RegressionTree().fit(np.array([[a], [b]]), np.array([0.0, 1.0]))
         assert tree.feature.tolist() == [-1]
         assert tree.value.tolist() == [0.5]
+
+
+class TestRandomForest:
+    def test_tree_ranges_join_to_the_whole_forest(self):
+        X = np.random.default_rng(4).normal(size=(50, 4))
+        y = X[:, 0] - 2.0 * X[:, 2]
+        whole = RandomForestRegression(n_estimators=7, max_features="third", seed=5).fit(X, y)
+        forest = RandomForestRegression(n_estimators=7, max_features="third", seed=5)
+        joined = [tree for trees in (range(0, 3), range(3, 4), range(4, 7))
+                  for tree in forest.fit_trees(X, y, trees)]
+        assert forest.trees_ == []
+        assert len(joined) == len(whole.trees_) == 7
+        for grown, expected in zip(joined, whole.trees_):
+            for name in RegressionTree.FITTED:
+                assert getattr(grown, name).tobytes() == getattr(expected, name).tobytes()
 
 
 class TestTrainPool:
@@ -205,11 +229,79 @@ class TestTrainPool:
                          tiny_dataset.target[test])
             assert again == pytest.approx(m.score, rel=1e-12)
 
-    def test_zero_time_budget_raises(self, tiny_dataset):
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_zero_time_budget_raises(self, tiny_dataset, workers):
         sp = split(tiny_dataset, 0.25, seed=1)
         with pytest.raises(RuntimeError, match="no model completed"):
             train_pool(tiny_dataset, sp,
-                       SearchBudget(max_models=3, max_runtime_secs=1e-12, seed=0))
+                       SearchBudget(max_models=3, max_runtime_secs=1e-12, seed=0),
+                       workers=workers)
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("k", [0, 2])
+    def test_budget_out_after_model_k_keeps_models_up_to_k(self, tiny_dataset, monkeypatch,
+                                                            workers, k):
+        # the clock ticks a nanosecond a read (the worker pool's own waits
+        # read it too, and spin on a clock that stands still) and jumps past
+        # the cap once model k's result is taken and scored: the pool must be
+        # models 0..k, however many workers
+        scored = []
+        score = pool_module.holdout_rmse
+        ticks = itertools.count()
+        monkeypatch.setattr(pool_module, "holdout_rmse",
+                            lambda *args: scored.append(1) or score(*args))
+        monkeypatch.setattr(pool_module.time, "monotonic",
+                            lambda: next(ticks) * 1e-9 + (1e9 if len(scored) > k else 0.0))
+        sp = split(tiny_dataset, 0.25, seed=1)
+        pool = train_pool(tiny_dataset, sp,
+                          SearchBudget(max_models=6, max_runtime_secs=60.0, seed=3),
+                          workers=workers)
+        assert [m.id for m in pool] == list(range(k + 1))
+
+    def test_workers_below_one_raises(self, tiny_dataset):
+        sp = split(tiny_dataset, 0.25, seed=1)
+        with pytest.raises(ValueError, match="workers must be >= 1, got 0"):
+            train_pool(tiny_dataset, sp, SearchBudget(max_models=1), workers=0)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_fit_error_surfaces_unchanged(self, tiny_dataset, monkeypatch, workers):
+        def fail(self, X, y):
+            raise ArithmeticError(f"cannot fit {len(y)} rows")
+
+        monkeypatch.setattr(GradientBoostingRegression, "fit", fail)
+        sp = split(tiny_dataset, 0.25, seed=1)
+        with pytest.raises(ArithmeticError, match="^cannot fit 30 rows$"):
+            train_pool(tiny_dataset, sp, SearchBudget(max_models=5, seed=2), workers=workers)
+        assert multiprocessing.active_children() == []
+
+    def test_worker_count_capped_at_units(self, tiny_dataset, monkeypatch):
+        # ridge, one tree and a forest of at most 300 trees: at most 12 units
+        import concurrent.futures
+
+        made = []
+
+        class InProcess:
+            def __init__(self, max_workers, mp_context):
+                made.append(max_workers)
+
+            def map(self, fn, units):
+                units = list(units)
+                made.append(len(units))
+                return map(fn, units)
+
+            def shutdown(self, cancel_futures):
+                made.append("shutdown")
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcess)
+        sp = split(tiny_dataset, 0.25, seed=1)
+        budget = SearchBudget(max_models=3, seed=2)
+        pool = train_pool(tiny_dataset, sp, budget, workers=1000)
+        n_trees = pool[2].hyperparameters["n_estimators"]
+        units = 2 + -(-n_trees // pool_module.FOREST_UNIT_TREES)
+        assert made == [units, units, "shutdown"]
+        serial = train_pool(tiny_dataset, sp, budget)
+        assert [m.score for m in pool] == [m.score for m in serial]
 
     def test_predict_is_deterministic_per_row(self, tiny_dataset):
         sp = split(tiny_dataset, 0.25, seed=1)

@@ -259,7 +259,7 @@ def tree_fits(draw):
         X, y = X[rows], y[rows]
     tree = RegressionTree(max_depth=draw(st.integers(1, 8)),
                           min_samples_leaf=draw(st.integers(1, n // 2 + 2)),
-                          max_features=draw(st.one_of(st.none(), st.integers(0, p))))
+                          max_features=draw(st.one_of(st.none(), st.integers(1, p))))
     return tree, X, y, seed
 
 

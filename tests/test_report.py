@@ -5,6 +5,7 @@ from __future__ import annotations
 import importlib.resources
 import json
 import math
+import multiprocessing
 import os
 import xml.etree.ElementTree as ET
 from dataclasses import replace
@@ -705,6 +706,19 @@ class TestCli:
         assert code == 1
         assert "--workers must be >= 1, got 0" in capsys.readouterr().err
         assert not (tmp_path / "s").exists()
+
+    def test_worker_death_exit_three_and_no_worker_left(self, linear_csv, tmp_path,
+                                                        monkeypatch, capsys):
+        # the fork carries the patched fit into the workers, which die in it
+        monkeypatch.setattr(RidgeRegression, "fit", lambda self, X, y: os._exit(1))
+        code = main([
+            "explain", "--data", linear_csv, "--target", "y", "--max-models", "3",
+            "--workers", "2", "--out", str(tmp_path / "o"),
+        ])
+        assert code == 3
+        assert ("runtime failure: model 0 (LinearRidge): worker process died"
+                in capsys.readouterr().err)
+        assert multiprocessing.active_children() == []
 
     def test_explain_end_to_end(self, linear_csv, tmp_path, capsys):
         out = tmp_path / "cli_out"
