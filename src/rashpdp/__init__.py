@@ -35,7 +35,7 @@ from .pdp import (
     rashomon_profile,
     write_profile_csv,
 )
-from .rashomon import RashomonSet, form_set, select_best
+from .rashomon import RashomonSet, form_set
 from .report import (
     RunConfig,
     SuiteSummaryRow,
@@ -85,7 +85,6 @@ __all__ = [
     "run_suite",
     "save_csv",
     "save_pool",
-    "select_best",
     "spearman",
     "split",
     "train_pool",

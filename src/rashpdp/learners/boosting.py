@@ -48,8 +48,8 @@ class GradientBoostingRegression(TreeEnsemble):
             self.trees_.append(tree)
         return self
 
-    def _combine(self, n: int, predictions) -> np.ndarray:
-        pred = np.full(n, self.init_)
+    def _combine(self, predictions) -> np.ndarray:
+        pred = self.init_  # the first += makes the array
         for v in predictions:
             pred += self.learning_rate * v
         return np.clip(pred, self.y_min_, self.y_max_)

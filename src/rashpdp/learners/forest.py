@@ -57,5 +57,5 @@ class RandomForestRegression(TreeEnsemble):
             grown.append(tree.fit(X[rows], y[rows], rng=rng))
         return grown
 
-    def _combine(self, n: int, predictions) -> np.ndarray:
+    def _combine(self, predictions) -> np.ndarray:
         return np.stack(list(predictions)).mean(axis=0)

@@ -102,12 +102,6 @@ class TrainedModel:
     predictor: Any = field(compare=False, repr=False)
     score: float = 0.0
 
-    def predict(self, row: np.ndarray) -> float:
-        return float(self.predictor.predict_many(np.asarray(row, dtype=np.float64)[None, :])[0])
-
-    def predict_many(self, rows: np.ndarray) -> np.ndarray:
-        return self.predictor.predict_many(rows)
-
 
 def rmse(predictions: np.ndarray, truth: np.ndarray) -> float:
     """Root mean squared error of `predictions` against `truth`."""
@@ -135,7 +129,7 @@ def predict_batch(model: TrainedModel, rows: np.ndarray) -> np.ndarray:
         raise ValueError(f"rows must be a 2-d matrix, got shape {rows.shape}")
     if rows.shape[0] == 0:
         return np.empty(0, dtype=np.float64)
-    return checked_predictions(model, model.predict_many(rows), rows.shape[0])
+    return checked_predictions(model, model.predictor.predict_many(rows), rows.shape[0])
 
 
 def checked_predictions(model: TrainedModel, out: Any, n_rows: int) -> np.ndarray:

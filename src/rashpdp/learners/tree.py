@@ -165,8 +165,8 @@ class RegressionTree:
 
 
 class TreeEnsemble:
-    """Regression trees fitted by a subclass's `fit`. Its `_combine(n, predictions)`
-    turns an iterator of each tree's n predictions, in tree order, into the model's."""
+    """Regression trees fitted by a subclass's `fit`. Its `_combine(predictions)`
+    turns an iterator of each tree's predictions, in tree order, into the model's."""
 
     FITTED = dict(trees_=RegressionTree)
 
@@ -178,15 +178,15 @@ class TreeEnsemble:
 
     def predict_many(self, X: np.ndarray) -> np.ndarray:
         X = np.asarray(X, dtype=np.float64)
-        return self._predict(X.shape[0], lambda tree: tree.predict_many(X))
+        return self._predict(lambda tree: tree.predict_many(X))
 
     def predict_grid(self, base: np.ndarray, j: int, grid: np.ndarray) -> np.ndarray:
-        return self._predict(len(grid) * len(base), lambda tree: tree.predict_grid(base, j, grid))
+        return self._predict(lambda tree: tree.predict_grid(base, j, grid))
 
-    def _predict(self, n: int, predict) -> np.ndarray:
+    def _predict(self, predict) -> np.ndarray:
         if not self.trees_:
             raise ValueError("model is not fitted")
-        return self._combine(n, map(predict, self.trees_))
+        return self._combine(map(predict, self.trees_))
 
     def validate(self) -> None:
         check_trees(self.trees_, self.n_estimators)

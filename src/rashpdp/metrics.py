@@ -18,7 +18,7 @@ FISHER_Z_SE_FACTOR = 1.03
 class ExplanationMetrics:
     """Per-feature agreement summary; undefined for singleton Rashomon sets.
 
-    When `defined` is False (rss = 1) the numeric values are degenerate
+    When `defined` is False (one member curve) the numeric values are degenerate
     (mwci 0, cr 1) and must be reported as "-" rather than aggregated.
     """
 
@@ -60,13 +60,13 @@ def coverage_rate(result: RashomonPdpResult) -> float:
     return float(np.mean(inside))
 
 
-def compute_metrics(result: RashomonPdpResult, rss: int) -> ExplanationMetrics:
+def compute_metrics(result: RashomonPdpResult) -> ExplanationMetrics:
     """Bundle MWCI and CR for one feature, flagging singleton sets."""
     return ExplanationMetrics(
         feature_index=result.feature_index,
         mwci=mwci(result),
         cr=coverage_rate(result),
-        defined=rss > 1,
+        defined=len(result.per_model) > 1,
     )
 
 

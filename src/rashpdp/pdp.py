@@ -153,35 +153,28 @@ def bootstrap_bands(curves: list[PdpCurve] | tuple[PdpCurve, ...], n_boot: int,
     return _percentile_band(replicate_means, alpha)
 
 
-def rashomon_profile(pool: list[TrainedModel], rset: RashomonSet, ds: Dataset,
-                     sp: Split, feature_index: int, grid_size: int,
-                     n_boot: int = DEFAULT_BOOTSTRAP_COUNT,
+def rashomon_profile(rset: RashomonSet, ds: Dataset, sp: Split, feature_index: int,
+                     grid_size: int, n_boot: int = DEFAULT_BOOTSTRAP_COUNT,
                      alpha: float = DEFAULT_ALPHA, seed: int = 0) -> RashomonPdpResult:
     """Full pipeline for one feature: grid, member curves, mean, bands.
 
     The averaging rows are the training rows, subsampled to MAX_PDP_ROWS
     when larger; subsampling and bootstrap use independent streams derived
-    from `seed`.
+    from `seed`. The member curves are in ascending model-id order.
     """
-    by_id = {m.id: m for m in pool}
-    missing = [mid for mid in rset.member_ids if mid not in by_id]
-    if missing:
-        raise ValueError(f"Rashomon set references models not in the pool: {missing}")
-
     grid = feature_grid(ds, feature_index, grid_size, rows=sp.train_indices)
     rows = np.asarray(sp.train_indices, dtype=np.intp)
     if rows.size > MAX_PDP_ROWS:
         rng = np.random.default_rng(derive_seed(seed, ROLE_PDP_ROWS))
         rows = np.sort(rng.choice(rows, size=MAX_PDP_ROWS, replace=False))
 
-    member_ids = sorted(rset.member_ids)
-    members = [by_id[mid] for mid in member_ids]
+    members = sorted(rset.members, key=lambda m: m.id)
     curves = [pdp_single(model, ds, rows, feature_index, grid) for model in members]
 
     mean = rashomon_pdp(curves)
     ci_lo, ci_hi = bootstrap_bands(curves, n_boot, alpha,
                                    derive_seed(seed, ROLE_BOOTSTRAP))
-    best_curve = curves[member_ids.index(rset.best_id)]
+    best_curve = next(c for c in curves if c.model_id == rset.best_id)
     return RashomonPdpResult(
         feature_index=feature_index,
         grid=grid,

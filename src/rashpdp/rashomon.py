@@ -14,59 +14,51 @@ DEFAULT_EPSILON = 0.05
 class RashomonSet:
     """Models whose score is within a factor (1 + epsilon) of the best score.
 
-    `member_ids` is ordered by ascending score with ties broken by id, so the
-    best model is always first. `rss` is the member count and `rr` the member
-    count divided by the pool size.
+    `members` is ordered by ascending score with ties broken by id, so the
+    best model is always `members[0]`. `rr` is the member count divided by
+    the pool size.
     """
 
     epsilon: float
-    best_id: int
     threshold: float
-    member_ids: tuple[int, ...]
-    rss: int
+    members: tuple[TrainedModel, ...]
     rr: float
 
-    def __post_init__(self) -> None:
-        if self.best_id not in self.member_ids:
-            raise ValueError("best model must be a member of its Rashomon set")
-        if self.rss != len(self.member_ids):
-            raise ValueError("rss must equal the member count")
-        if not 0.0 < self.rr <= 1.0:
-            raise ValueError(f"rr must be in (0, 1], got {self.rr}")
+    @property
+    def rss(self) -> int:
+        return len(self.members)
 
+    @property
+    def best_id(self) -> int:
+        return self.members[0].id
 
-def select_best(pool: list[TrainedModel]) -> int:
-    """Id of the model with minimal score; ties go to the earliest-trained."""
-    if not pool:
-        raise ValueError("cannot select the best model from an empty pool")
-    for m in pool:
-        if not math.isfinite(m.score):
-            raise ValueError(f"model {m.id} has non-finite score {m.score}")
-    best = min(pool, key=lambda m: (m.score, m.id))
-    return best.id
+    @property
+    def member_ids(self) -> tuple[int, ...]:
+        return tuple(m.id for m in self.members)
 
 
 def form_set(pool: list[TrainedModel], epsilon: float = DEFAULT_EPSILON) -> RashomonSet:
     """Collect all models with score <= best_score * (1 + epsilon).
 
+    The best model has the minimal score, ties going to the earliest-trained.
     The threshold is inclusive, so the best model is always a member; with a
     perfect best score of zero the set degenerates to the perfect models.
     """
-    if epsilon <= 0:
+    if not epsilon > 0:
         raise ValueError(f"epsilon must be > 0, got {epsilon}")
-    best_id = select_best(pool)
-    best_score = next(m.score for m in pool if m.id == best_id)
-    threshold = best_score * (1.0 + epsilon)
-    members = sorted(
-        (m for m in pool if m.score <= threshold),
-        key=lambda m: (m.score, m.id),
-    )
-    member_ids = tuple(m.id for m in members)
+    if not pool:
+        raise ValueError("cannot form a Rashomon set from an empty pool")
+    for m in pool:
+        if not (math.isfinite(m.score) and m.score >= 0):
+            raise ValueError(f"model {m.id} has non-finite or negative score {m.score}")
+    ranked = sorted(pool, key=lambda m: (m.score, m.id))
+    threshold = ranked[0].score * (1.0 + epsilon)
+    if math.isnan(threshold):  # an infinite epsilon times a perfect score
+        raise ValueError(f"epsilon {epsilon} with a best score of 0 leaves no threshold")
+    members = tuple(m for m in ranked if m.score <= threshold)
     return RashomonSet(
         epsilon=float(epsilon),
-        best_id=best_id,
         threshold=float(threshold),
-        member_ids=member_ids,
-        rss=len(member_ids),
-        rr=len(member_ids) / len(pool),
+        members=members,
+        rr=len(members) / len(pool),
     )

@@ -309,10 +309,10 @@ def run_dataset(cfg: RunConfig, load_pool_path: str | None = None,
         )
         pool = train_pool(ds, sp, budget, workers=workers)
     if save_pool_path is not None:
+        os.makedirs(os.path.dirname(os.path.abspath(save_pool_path)), exist_ok=True)
         save_pool(pool, save_pool_path)
 
     rset = form_set(pool, cfg.epsilon)
-    best = next(m for m in pool if m.id == rset.best_id)
 
     os.makedirs(cfg.out_dir, exist_ok=True)
     results = {}
@@ -321,13 +321,13 @@ def run_dataset(cfg: RunConfig, load_pool_path: str | None = None,
         j = ds.feature_index(name)
         try:
             result = rashomon_profile(
-                pool, rset, ds, sp, j, cfg.grid_size,
+                rset, ds, sp, j, cfg.grid_size,
                 n_boot=cfg.n_boot, alpha=cfg.alpha, seed=cfg.seed,
             )
         except DataError as exc:
             raise DataError(f"dataset '{ds.name}': {exc}") from None
         results[name] = result
-        feature_metrics[name] = compute_metrics(result, rset.rss)
+        feature_metrics[name] = compute_metrics(result)
         stem = _safe_filename(name)
         write_profile_csv(result, os.path.join(cfg.out_dir, f"profile_{stem}.csv"))
         emit_svg(
@@ -343,7 +343,7 @@ def run_dataset(cfg: RunConfig, load_pool_path: str | None = None,
         rr = rset.rr
         mean_mwci = sum(m.mwci for m in feature_metrics.values()) / len(feature_metrics)
         mean_cr = sum(m.cr for m in feature_metrics.values()) / len(feature_metrics)
-    row = SuiteSummaryRow(ds.name, best.score, len(pool), rset.rss, rr, mean_mwci, mean_cr)
+    row = SuiteSummaryRow(ds.name, rset.members[0].score, len(pool), rset.rss, rr, mean_mwci, mean_cr)
 
     report = {
         "dataset": ds.name,

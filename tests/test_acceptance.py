@@ -102,7 +102,7 @@ def test_criterion_4_analytic_linear_oracle():
     epsilon = (max(scores) / max(min(scores), 1e-300) - 1.0) * 1.1 + 0.01
     rset = form_set(pool, epsilon)
     assert rset.rss == len(pool)
-    result = rashomon_profile(pool, rset, ds, sp, 0, 20, n_boot=500, alpha=0.05, seed=17)
+    result = rashomon_profile(rset, ds, sp, 0, 20, n_boot=500, alpha=0.05, seed=17)
     width = mwci(result)
     assert width < 1e-3
     elapsed = time.monotonic() - started

@@ -225,7 +225,7 @@ class TestTrainPool:
         pool = train_pool(tiny_dataset, sp, SearchBudget(max_models=5, seed=4))
         test = np.asarray(sp.test_indices)
         for m in pool:
-            again = rmse(m.predict_many(tiny_dataset.features[test]),
+            again = rmse(m.predictor.predict_many(tiny_dataset.features[test]),
                          tiny_dataset.target[test])
             assert again == pytest.approx(m.score, rel=1e-12)
 
@@ -306,9 +306,9 @@ class TestTrainPool:
     def test_predict_is_deterministic_per_row(self, tiny_dataset):
         sp = split(tiny_dataset, 0.25, seed=1)
         pool = train_pool(tiny_dataset, sp, SearchBudget(max_models=5, seed=5))
-        row = tiny_dataset.features[0]
+        row = tiny_dataset.features[:1]
         for m in pool:
-            assert m.predict(row) == m.predict(row)
+            assert predict_batch(m, row) == predict_batch(m, row)
 
 
 @pytest.fixture(scope="module")
@@ -370,7 +370,7 @@ class TestPoolArchive:
         assert [m.score for m in back] == [m.score for m in pool]
         X = tiny_dataset.features
         for a, b in zip(pool, back):
-            np.testing.assert_array_equal(a.predict_many(X), b.predict_many(X))
+            np.testing.assert_array_equal(a.predictor.predict_many(X), b.predictor.predict_many(X))
 
     def test_rejects_non_archive_file(self, tmp_path):
         path = tmp_path / "junk.json"

@@ -6,6 +6,7 @@ import importlib.resources
 import os
 import subprocess
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -90,12 +91,13 @@ class TestCoverageRate:
 class TestComputeMetrics:
     def test_defined_iff_multiple_members(self):
         r = make_result([1.0], [1.0], [1.0], grid=np.array([0.0]))
-        assert compute_metrics(r, rss=1).defined is False
-        assert compute_metrics(r, rss=2).defined is True
+        other = PdpCurve(feature_index=0, grid=r.grid, values=np.array([2.0]), model_id=1)
+        assert compute_metrics(r).defined is False
+        assert compute_metrics(replace(r, per_model=(r.best_curve, other))).defined is True
 
     def test_singleton_values_are_degenerate(self):
         v = [1.0, 2.0]
-        m = compute_metrics(make_result(v, v, v), rss=1)
+        m = compute_metrics(make_result(v, v, v))
         assert m.mwci == 0.0
         assert m.cr == 1.0
 

@@ -221,14 +221,14 @@ class TestRashomonProfile:
         rset = form_set(pool, 1e-9)
         if rset.rss != 1:
             pytest.skip("pool happens to have exact ties")
-        result = rashomon_profile(pool, rset, ds, sp, 0, 10, n_boot=50, alpha=0.05, seed=1)
+        result = rashomon_profile(rset, ds, sp, 0, 10, n_boot=50, alpha=0.05, seed=1)
         np.testing.assert_array_equal(result.mean, result.best_curve.values)
         np.testing.assert_array_equal(result.ci_lo, result.ci_hi)
 
     def test_result_is_complete_and_consistent(self, trained):
         ds, sp, pool = trained
         rset = form_set(pool, 5.0)
-        result = rashomon_profile(pool, rset, ds, sp, 1, 8, n_boot=100, alpha=0.1, seed=3)
+        result = rashomon_profile(rset, ds, sp, 1, 8, n_boot=100, alpha=0.1, seed=3)
         assert len(result.per_model) == rset.rss
         ids = [c.model_id for c in result.per_model]
         assert ids == sorted(ids)
@@ -241,18 +241,12 @@ class TestRashomonProfile:
 
     def test_pool_order_does_not_matter(self, trained):
         ds, sp, pool = trained
-        rset = form_set(pool, 5.0)
-        forward = rashomon_profile(pool, rset, ds, sp, 2, 6, n_boot=40, alpha=0.05, seed=5)
-        backward = rashomon_profile(list(reversed(pool)), rset, ds, sp, 2, 6,
-                                  n_boot=40, alpha=0.05, seed=5)
+        forward = rashomon_profile(form_set(pool, 5.0), ds, sp, 2, 6,
+                                   n_boot=40, alpha=0.05, seed=5)
+        backward = rashomon_profile(form_set(list(reversed(pool)), 5.0), ds, sp, 2, 6,
+                                    n_boot=40, alpha=0.05, seed=5)
         np.testing.assert_array_equal(forward.mean, backward.mean)
         np.testing.assert_array_equal(forward.ci_lo, backward.ci_lo)
-
-    def test_foreign_rashomon_set_rejected(self, trained):
-        ds, sp, pool = trained
-        rset = form_set(pool, 5.0)
-        with pytest.raises(ValueError, match="not in the pool"):
-            rashomon_profile(pool[:2], rset, ds, sp, 0, 6, n_boot=10, alpha=0.05, seed=0)
 
 
 class TestProfileCsv:

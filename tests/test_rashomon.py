@@ -4,30 +4,36 @@ from __future__ import annotations
 
 import pytest
 
-from rashpdp.rashomon import form_set, select_best
+from rashpdp.rashomon import form_set
 
 from conftest import stub_pool
 
 
 class TestSelectBest:
+    """The best model `form_set` puts first."""
+
     def test_argmin_by_score(self):
         pool = stub_pool([3.0, 1.0, 2.0])
-        assert select_best(pool) == 1
+        assert form_set(pool).best_id == 1
 
     def test_tie_broken_by_training_order(self):
         pool = stub_pool([1.0, 1.0])
-        assert select_best(pool) == 0
+        assert form_set(pool).best_id == 0
 
     def test_single_model(self):
-        assert select_best(stub_pool([4.2])) == 0
+        assert form_set(stub_pool([4.2])).best_id == 0
 
     def test_empty_pool_rejected(self):
         with pytest.raises(ValueError, match="empty pool"):
-            select_best([])
+            form_set([])
 
     def test_non_finite_score_rejected(self):
         with pytest.raises(ValueError, match="non-finite"):
-            select_best(stub_pool([1.0, float("inf")]))
+            form_set(stub_pool([1.0, float("inf")]))
+
+    def test_negative_score_rejected(self):
+        with pytest.raises(ValueError, match="model 1 has non-finite or negative score"):
+            form_set(stub_pool([1.0, -0.5]))
 
 
 class TestFormSet:
@@ -69,6 +75,24 @@ class TestFormSet:
     def test_epsilon_must_be_positive(self):
         with pytest.raises(ValueError, match="epsilon"):
             form_set(stub_pool([1.0]), 0.0)
+
+    def test_nan_epsilon_named(self):
+        with pytest.raises(ValueError, match="epsilon must be > 0, got nan"):
+            form_set(stub_pool([1.0, 2.0]), float("nan"))
+
+    def test_infinite_epsilon_keeps_every_model(self):
+        assert form_set(stub_pool([2.0, 1.0, 9.0]), float("inf")).member_ids == (1, 0, 2)
+
+    def test_infinite_epsilon_with_a_perfect_score_rejected(self):
+        with pytest.raises(ValueError, match="epsilon inf with a best score of 0"):
+            form_set(stub_pool([0.0, 1.0]), float("inf"))
+
+    def test_members_are_the_pool_models_best_first(self):
+        pool = stub_pool([1.02, 1.0, 3.0])
+        rset = form_set(pool, 0.05)
+        assert len(rset.members) == 2
+        assert rset.members[0] is pool[1] and rset.members[1] is pool[0]
+        assert rset.members[0].id == rset.best_id
 
     def test_monotone_in_epsilon(self):
         pool = stub_pool([1.0, 1.02, 1.07, 1.2, 3.0])

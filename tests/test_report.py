@@ -496,6 +496,15 @@ class TestCli:
         assert f"pool archive {archive}: model {index}: {message}" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    def test_pool_saved_into_the_output_directory_loads_back(self, linear_csv, tmp_path):
+        flags = ["explain", "--data", linear_csv, "--target", "y", "--feature", "x1",
+                 "--max-models", "3", "--bootstrap", "20", "--grid", "4"]
+        archive = tmp_path / "out" / "pool.json"
+        assert main(flags + ["--save-pool", str(archive), "--out", str(tmp_path / "out")]) == 0
+        assert main(flags + ["--load-pool", str(archive), "--out", str(tmp_path / "loaded")]) == 0
+        assert ((tmp_path / "loaded" / "profile_x1.csv").read_bytes()
+                == (tmp_path / "out" / "profile_x1.csv").read_bytes())
+
     @pytest.fixture(scope="class")
     def seed_42_archive(self, linear_csv, tmp_path_factory):
         """A two-model pool saved by `explain` on linear_csv at --seed 42."""
