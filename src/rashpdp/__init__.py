@@ -27,11 +27,9 @@ from .metrics import (
     spearman,
 )
 from .pdp import (
-    PdpCurve,
     RashomonPdpResult,
     bootstrap_bands,
     pdp_single,
-    rashomon_pdp,
     rashomon_profile,
     write_profile_csv,
 )
@@ -56,7 +54,6 @@ __all__ = [
     "Dataset",
     "ExplanationMetrics",
     "FAMILIES",
-    "PdpCurve",
     "RashomonPdpResult",
     "RashomonSet",
     "RashpdpError",
@@ -77,7 +74,6 @@ __all__ = [
     "mwci",
     "pdp_single",
     "predict_batch",
-    "rashomon_pdp",
     "read_summary_csv",
     "rmse",
     "rashomon_profile",

@@ -121,7 +121,8 @@ def _write_json(fh: Any, value: Any) -> None:
 
 def load_pool(path: str | os.PathLike[str]) -> list[TrainedModel]:
     """Restore a pool saved by save_pool; predictions match the original. A
-    malformed model raises ValueError naming the path, its index and the field."""
+    malformed model, or one whose id an earlier model has, raises ValueError
+    naming the path, its index and the field."""
     with open(os.fspath(path), "r", encoding="utf-8") as fh:
         payload = json.load(fh)
     if not isinstance(payload, dict) or payload.get("format") != ARCHIVE_FORMAT:
@@ -144,6 +145,8 @@ def load_pool(path: str | os.PathLike[str]) -> list[TrainedModel]:
             if not isinstance(family, str) or family not in REGISTRY:
                 raise ValueError(f"unknown model family {family!r}")
             model_id, score, hyperparameters = _entry_keys(entry)
+            if model_id in (m.id for m in pool):
+                raise ValueError(f"key 'id' repeats an earlier model's id {model_id}")
             predictor = from_state(REGISTRY[family].model_class, entry["state"])
             predictor.validate()
             pool.append(TrainedModel(id=model_id, family=family, predictor=predictor,

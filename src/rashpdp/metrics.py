@@ -53,10 +53,8 @@ def mwci(result: RashomonPdpResult) -> float:
 def coverage_rate(result: RashomonPdpResult) -> float:
     """Fraction of grid points where the best model's profile lies inside the
     band, boundaries included."""
-    best = result.best_curve
-    if not np.array_equal(best.grid, result.grid):
-        raise ValueError("best curve and bands must share the same grid")
-    inside = (result.ci_lo <= best.values) & (best.values <= result.ci_hi)
+    best = result.best_values
+    inside = (result.ci_lo <= best) & (best <= result.ci_hi)
     return float(np.mean(inside))
 
 
@@ -66,7 +64,7 @@ def compute_metrics(result: RashomonPdpResult) -> ExplanationMetrics:
         feature_index=result.feature_index,
         mwci=mwci(result),
         cr=coverage_rate(result),
-        defined=len(result.per_model) > 1,
+        defined=len(result.model_ids) > 1,
     )
 
 

@@ -25,42 +25,22 @@ MAX_PDP_ROWS = 1000
 
 
 @dataclass(frozen=True)
-class PdpCurve:
-    """One feature's profile: grid values paired with averaged predictions."""
-
-    feature_index: int
-    grid: np.ndarray
-    values: np.ndarray
-    model_id: int | None = None
-
-    def __post_init__(self) -> None:
-        grid = np.asarray(self.grid, dtype=np.float64)
-        values = np.asarray(self.values, dtype=np.float64)
-        if grid.ndim != 1 or grid.shape != values.shape:
-            raise ValueError("grid and values must be 1-d vectors of equal length")
-        if not np.all(np.isfinite(values)):
-            raise ValueError("profile values must be finite")
-        grid.setflags(write=False)
-        values.setflags(write=False)
-        object.__setattr__(self, "grid", grid)
-        object.__setattr__(self, "values", values)
-
-
-@dataclass(frozen=True)
 class RashomonPdpResult:
-    """Aggregated profile with confidence bands and its inputs' provenance.
+    """One feature's member profiles with their mean, its band and provenance.
 
-    `per_model` holds the member curves in ascending model-id order, the
-    canonical order used for bootstrap resampling.
+    Row `i` of `curves` (shape (k, m)) is the profile of model `model_ids[i]`
+    on `grid`. The ids ascend, the canonical order used for bootstrap
+    resampling; `best` is the row of the set's best model.
     """
 
     feature_index: int
     grid: np.ndarray
+    curves: np.ndarray
+    model_ids: tuple[int, ...]
+    best: int
     mean: np.ndarray
     ci_lo: np.ndarray
     ci_hi: np.ndarray
-    best_curve: PdpCurve
-    per_model: tuple[PdpCurve, ...]
     n_boot: int
     alpha: float
     seed: int
@@ -68,6 +48,16 @@ class RashomonPdpResult:
 
     def __post_init__(self) -> None:
         m = np.asarray(self.grid).shape[0]
+        curves = np.asarray(self.curves, dtype=np.float64)
+        if not self.model_ids or curves.shape != (len(self.model_ids), m):
+            raise ValueError(f"curves must hold one row of the grid's length {m} "
+                             f"per model id, and at least one row")
+        if not np.all(np.isfinite(curves)):
+            raise ValueError("profile values must be finite")
+        if not 0 <= self.best < len(self.model_ids):
+            raise ValueError(f"best row {self.best} out of range for {len(self.model_ids)} curves")
+        curves.setflags(write=False)
+        object.__setattr__(self, "curves", curves)
         for name in ("mean", "ci_lo", "ci_hi"):
             vec = np.asarray(getattr(self, name), dtype=np.float64)
             if vec.shape != (m,):
@@ -76,9 +66,14 @@ class RashomonPdpResult:
         if np.any(self.ci_lo > self.ci_hi):
             raise ValueError("lower band must not exceed upper band")
 
+    @property
+    def best_values(self) -> np.ndarray:
+        """The best model's profile."""
+        return self.curves[self.best]
+
 
 def pdp_single(model: TrainedModel, ds: Dataset, rows: np.ndarray,
-               feature_index: int, grid: np.ndarray) -> PdpCurve:
+               feature_index: int, grid: np.ndarray) -> np.ndarray:
     """Profile of one model: for each grid value, overwrite the feature on
     every averaging row, predict, and take the mean prediction. A predictor
     with `predict_grid` (the tree families) returns those predictions itself."""
@@ -102,26 +97,7 @@ def pdp_single(model: TrainedModel, ds: Dataset, rows: np.ndarray,
         tiled = np.tile(base, (grid.size, 1))
         tiled[:, feature_index] = np.repeat(grid, rows.size)
         predictions = predict_batch(model, tiled)
-    values = predictions.reshape(grid.size, rows.size).mean(axis=1)
-    return PdpCurve(feature_index=feature_index, grid=grid, values=values,
-                    model_id=model.id)
-
-
-def _check_shared_grid(curves: list[PdpCurve] | tuple[PdpCurve, ...]) -> np.ndarray:
-    if not curves:
-        raise ValueError("need at least one profile curve")
-    grid = curves[0].grid
-    for c in curves[1:]:
-        if not np.array_equal(c.grid, grid):
-            raise ValueError("all curves must share an identical grid")
-    return grid
-
-
-def rashomon_pdp(curves: list[PdpCurve] | tuple[PdpCurve, ...]) -> np.ndarray:
-    """Pointwise arithmetic mean across curves sharing one grid."""
-    _check_shared_grid(curves)
-    stacked = np.stack([c.values for c in curves])
-    return stacked.mean(axis=0)
+    return predictions.reshape(grid.size, rows.size).mean(axis=1)
 
 
 def _percentile_band(replicate_means: np.ndarray, alpha: float) -> tuple[np.ndarray, np.ndarray]:
@@ -131,25 +107,27 @@ def _percentile_band(replicate_means: np.ndarray, alpha: float) -> tuple[np.ndar
     return lo, hi
 
 
-def bootstrap_bands(curves: list[PdpCurve] | tuple[PdpCurve, ...], n_boot: int,
-                    alpha: float, seed: int) -> tuple[np.ndarray, np.ndarray]:
-    """Percentile confidence band from resampling curves with replacement.
+def bootstrap_bands(curves: np.ndarray, n_boot: int, alpha: float,
+                    seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """Percentile confidence band from resampling the rows of `curves`, one
+    member profile per row, with replacement.
 
-    Each replicate draws as many curves as there are members, averages them
+    Each replicate draws as many rows as there are members, averages them
     pointwise, and the band is the empirical [alpha/2, 1 - alpha/2] quantile
     range of the replicate means at each grid point. Deterministic in `seed`
-    for a fixed curve order; callers pass curves in canonical model-id order.
+    for a fixed row order; callers pass rows in canonical model-id order.
     """
-    _check_shared_grid(curves)
+    curves = np.asarray(curves, dtype=np.float64)
+    if curves.ndim != 2 or curves.shape[0] == 0:
+        raise ValueError("need a (members, grid) matrix of at least one profile curve")
     if n_boot < 1:
         raise ValueError(f"bootstrap count must be >= 1, got {n_boot}")
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must be in (0, 1), got {alpha}")
-    stacked = np.stack([c.values for c in curves])
-    n_curves = stacked.shape[0]
+    n_curves = curves.shape[0]
     rng = np.random.default_rng(int(seed))
     indices = rng.integers(0, n_curves, size=(int(n_boot), n_curves))
-    replicate_means = stacked[indices].mean(axis=1)
+    replicate_means = curves[indices].mean(axis=1)
     return _percentile_band(replicate_means, alpha)
 
 
@@ -169,20 +147,19 @@ def rashomon_profile(rset: RashomonSet, ds: Dataset, sp: Split, feature_index: i
         rows = np.sort(rng.choice(rows, size=MAX_PDP_ROWS, replace=False))
 
     members = sorted(rset.members, key=lambda m: m.id)
-    curves = [pdp_single(model, ds, rows, feature_index, grid) for model in members]
-
-    mean = rashomon_pdp(curves)
+    curves = np.array([pdp_single(model, ds, rows, feature_index, grid) for model in members])
     ci_lo, ci_hi = bootstrap_bands(curves, n_boot, alpha,
                                    derive_seed(seed, ROLE_BOOTSTRAP))
-    best_curve = next(c for c in curves if c.model_id == rset.best_id)
+    model_ids = tuple(m.id for m in members)
     return RashomonPdpResult(
         feature_index=feature_index,
         grid=grid,
-        mean=mean,
+        curves=curves,
+        model_ids=model_ids,
+        best=model_ids.index(rset.best_id),
+        mean=curves.mean(axis=0),
         ci_lo=ci_lo,
         ci_hi=ci_hi,
-        best_curve=best_curve,
-        per_model=tuple(curves),
         n_boot=int(n_boot),
         alpha=float(alpha),
         seed=int(seed),
@@ -197,17 +174,10 @@ def write_profile_csv(result: RashomonPdpResult, path: str | os.PathLike[str]) -
     exactly.
     """
     header = ["grid", "best", "mean", "ci_lo", "ci_hi"]
-    header += [f"model_{c.model_id}" for c in result.per_model]
+    header += [f"model_{model_id}" for model_id in result.model_ids]
+    table = np.column_stack([result.grid, result.best_values, result.mean,
+                             result.ci_lo, result.ci_hi, result.curves.T])
     with open(os.fspath(path), "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        for i in range(result.grid.size):
-            row = [
-                format(result.grid[i], ".17g"),
-                format(result.best_curve.values[i], ".17g"),
-                format(result.mean[i], ".17g"),
-                format(result.ci_lo[i], ".17g"),
-                format(result.ci_hi[i], ".17g"),
-            ]
-            row += [format(c.values[i], ".17g") for c in result.per_model]
-            writer.writerow(row)
+        writer.writerows([format(v, ".17g") for v in row] for row in table)

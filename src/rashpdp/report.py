@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import os
 import re
 from dataclasses import asdict, dataclass, replace
@@ -105,9 +106,11 @@ CONFIG_FIELDS = (
     ConfigField("features", "features", _names, "non-blank names without ','",
                 lambda names: all(name.strip() and "," not in name for name in names),
                 "feature to profile, one name per flag (repeatable; default: all)"),
-    ConfigField("epsilon", "epsilon", float, "> 0", lambda v: v > 0),
+    ConfigField("epsilon", "epsilon", float, "finite and > 0",
+                lambda v: math.isfinite(v) and v > 0),
     ConfigField("max_models", "max_models", int, ">= 1", lambda v: v >= 1),
-    ConfigField("max_runtime_secs", "max_runtime_secs", float, "> 0", lambda v: v > 0),
+    ConfigField("max_runtime_secs", "max_runtime_secs", float, "finite and > 0",
+                lambda v: math.isfinite(v) and v > 0),
     ConfigField("test_fraction", "test_fraction", float, "in (0, 1)", lambda v: 0 < v < 1),
     ConfigField("grid", "grid_size", int, ">= 2", lambda v: v >= 2),
     ConfigField("bootstrap", "n_boot", int, ">= 1", lambda v: v >= 1),
@@ -265,7 +268,7 @@ def _safe_filename(name: str) -> str:
 
 def _write_json(payload: dict[str, Any], path: str) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
+        json.dump(payload, fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
 
 

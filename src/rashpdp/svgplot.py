@@ -56,8 +56,7 @@ def emit_svg(result: RashomonPdpResult, path: str | os.PathLike[str], *,
     faint member curves, axes, legend, and a parameter-carrying title.
     Output is a pure function of the inputs."""
     grid = result.grid
-    series = [result.mean, result.ci_lo, result.ci_hi, result.best_curve.values,
-              *(c.values for c in result.per_model)]
+    series = [result.mean, result.ci_lo, result.ci_hi, result.curves]
     y_min = min(float(s.min()) for s in series)
     y_max = max(float(s.max()) for s in series)
     if y_max - y_min <= 0:
@@ -152,9 +151,9 @@ def emit_svg(result: RashomonPdpResult, path: str | os.PathLike[str], *,
     )
     out.append(f'<polygon points="{band_pts}" fill="{BAND_FILL}" fill-opacity="0.55" stroke="none"/>')
 
-    for curve in result.per_model:
+    for values in result.curves:
         out.append(
-            f'<polyline points="{points(curve.values)}" fill="none" '
+            f'<polyline points="{points(values)}" fill="none" '
             f'stroke="{MEMBER_COLOR}" stroke-opacity="0.45" stroke-width="1"/>'
         )
     out.append(
@@ -162,7 +161,7 @@ def emit_svg(result: RashomonPdpResult, path: str | os.PathLike[str], *,
         f'stroke-width="2.5"/>'
     )
     out.append(
-        f'<polyline points="{points(result.best_curve.values)}" fill="none" '
+        f'<polyline points="{points(result.best_values)}" fill="none" '
         f'stroke="{BEST_COLOR}" stroke-width="2" stroke-dasharray="7,4"/>'
     )
 
@@ -170,11 +169,11 @@ def emit_svg(result: RashomonPdpResult, path: str | os.PathLike[str], *,
     lx = MARGIN_LEFT + 12
     ly = MARGIN_TOP + 12
     entries = [
-        (f"Rashomon mean ({len(result.per_model)} models)", MEAN_COLOR, None),
+        (f"Rashomon mean ({len(result.model_ids)} models)", MEAN_COLOR, None),
         ("best model", BEST_COLOR, "7,4"),
         (f"{100 * (1 - result.alpha):g}% band", BAND_FILL, "band"),
     ]
-    if len(result.per_model) > 1:
+    if len(result.model_ids) > 1:
         entries.append(("member profiles", MEMBER_COLOR, None))
     out.append(
         f'<rect x="{lx - 6}" y="{ly - 6}" width="208" height="{16 * len(entries) + 10}" '

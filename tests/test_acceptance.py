@@ -93,9 +93,9 @@ def test_criterion_4_analytic_linear_oracle():
 
     grid = np.linspace(-4.0, 4.0, 20)
     curve = pdp_single(pool[0], ds, train, 0, grid)
-    slope, intercept = np.polyfit(curve.grid, curve.values, 1)
+    slope, intercept = np.polyfit(grid, curve, 1)
     assert abs(slope - 2.0) <= 1e-4
-    residual = curve.values - (slope * curve.grid + intercept)
+    residual = curve - (slope * grid + intercept)
     assert np.max(np.abs(residual)) <= 1e-6  # affine, not just sloped
 
     scores = [m.score for m in pool]

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
+import json
 import math
 
 import numpy as np
@@ -21,7 +22,7 @@ from rashpdp.data import feature_grid, save_csv, split
 from rashpdp.learners import SearchBudget, load_pool, save_pool, train_pool
 from rashpdp.pdp import pdp_single
 from rashpdp.report import RunConfig, config_from_mapping, parse_config_file
-from rashpdp.synthetic import make_linear
+from rashpdp.synthetic import make_friedman, make_linear
 
 # train_pool(tiny_dataset, split(tiny_dataset, 0.25, seed=1),
 #            SearchBudget(max_models=10, max_runtime_secs=inf, seed=13))
@@ -164,5 +165,29 @@ def test_member_profile_bytes(tiny_dataset):
                                          if hasattr(t, "threshold")]))
         for grid in (feature_grid(tiny_dataset, j, rows=sp.train_indices), cuts):
             for m in pool:
-                digest.update(pdp_single(m, tiny_dataset, rows, j, grid).values.tobytes())
+                digest.update(pdp_single(m, tiny_dataset, rows, j, grid).tobytes())
     assert digest.hexdigest() == GOLDEN_PDP_SHA256
+
+
+# sha256 over the profile CSVs and SVGs and metrics.json of one multi-member
+# `explain` run, in file-name order. The best model (id 3) is not the first
+# member column, so the best row, the bootstrap band and every member column
+# are pinned. Recorded before the member profiles became one matrix.
+GOLDEN_MULTI_MEMBER_SHA256 = "c4b3cd0687514280b1cc0e1b4af39f9f633c5aabfcfc4266e1757870130b326f"
+
+
+def test_multi_member_run_bytes(tmp_path, monkeypatch):
+    save_csv(make_friedman(n_rows=80, noise=0.5, seed=5, name="fried"), tmp_path / "fried.csv")
+    monkeypatch.chdir(tmp_path)
+    assert main(["explain", "--data", "fried.csv", "--target", "y", "--feature", "x1",
+                 "--feature", "x4", "--max-models", "5", "--epsilon", "100", "--grid", "5",
+                 "--bootstrap", "50", "--seed", "2", "--out", "out"]) == 0
+    out = tmp_path / "out"
+    report = json.loads((out / "metrics.json").read_text(encoding="utf-8"))
+    assert report["rashomon"]["rss"] >= 3
+    assert report["rashomon"]["best_id"] != min(report["rashomon"]["member_ids"])
+    digest = hashlib.sha256()
+    for path in sorted([*out.glob("profile_*.csv"), *out.glob("profile_*.svg"),
+                        out / "metrics.json"]):
+        digest.update(path.name.encode() + b"\0" + path.read_bytes())
+    assert digest.hexdigest() == GOLDEN_MULTI_MEMBER_SHA256

@@ -13,7 +13,7 @@ import pytest
 
 import rashpdp
 from rashpdp.metrics import _mid_ranks, compute_metrics, coverage_rate, mwci, spearman
-from rashpdp.pdp import PdpCurve, RashomonPdpResult, bootstrap_bands, rashomon_pdp
+from rashpdp.pdp import RashomonPdpResult, bootstrap_bands
 from rashpdp.report import read_summary_csv
 
 
@@ -21,12 +21,11 @@ def make_result(best_values, ci_lo, ci_hi, grid=None):
     best_values = np.asarray(best_values, dtype=np.float64)
     if grid is None:
         grid = np.arange(best_values.size, dtype=np.float64)
-    best = PdpCurve(feature_index=0, grid=grid, values=best_values, model_id=0)
     return RashomonPdpResult(
         feature_index=0, grid=np.asarray(grid, dtype=np.float64),
+        curves=best_values[None, :], model_ids=(0,), best=0,
         mean=best_values, ci_lo=np.asarray(ci_lo, dtype=np.float64),
-        ci_hi=np.asarray(ci_hi, dtype=np.float64), best_curve=best,
-        per_model=(best,), n_boot=10, alpha=0.05, seed=0,
+        ci_hi=np.asarray(ci_hi, dtype=np.float64), n_boot=10, alpha=0.05, seed=0,
     )
 
 
@@ -40,14 +39,11 @@ class TestMwci:
         assert mwci(r) == 2.0
 
     def test_matches_band_construction(self):
-        cs = [
-            PdpCurve(0, np.array([0.0, 1.0]), np.array([0.0, 0.0]), model_id=0),
-            PdpCurve(0, np.array([0.0, 1.0]), np.array([1.0, 1.0]), model_id=1),
-        ]
+        cs = np.array([[0.0, 0.0], [1.0, 1.0]])
         lo, hi = bootstrap_bands(cs, n_boot=200, alpha=0.05, seed=5)
         r = RashomonPdpResult(
-            feature_index=0, grid=cs[0].grid, mean=rashomon_pdp(cs), ci_lo=lo,
-            ci_hi=hi, best_curve=cs[0], per_model=tuple(cs), n_boot=200,
+            feature_index=0, grid=np.array([0.0, 1.0]), curves=cs, model_ids=(0, 1),
+            best=0, mean=cs.mean(axis=0), ci_lo=lo, ci_hi=hi, n_boot=200,
             alpha=0.05, seed=5,
         )
         assert mwci(r) == pytest.approx(float(np.mean(hi - lo)))
@@ -76,24 +72,13 @@ class TestCoverageRate:
         r = make_result([1.0, 2.0], [1.0, 0.0], [5.0, 2.0])
         assert coverage_rate(r) == 1.0
 
-    def test_grid_mismatch_rejected(self):
-        r = make_result([1.0, 2.0], [0.0, 0.0], [3.0, 3.0])
-        other_best = PdpCurve(0, np.array([0.0, 9.0]), np.array([1.0, 2.0]))
-        broken = RashomonPdpResult(
-            feature_index=0, grid=r.grid, mean=r.mean, ci_lo=r.ci_lo,
-            ci_hi=r.ci_hi, best_curve=other_best, per_model=r.per_model,
-            n_boot=10, alpha=0.05, seed=0,
-        )
-        with pytest.raises(ValueError, match="same grid"):
-            coverage_rate(broken)
-
 
 class TestComputeMetrics:
     def test_defined_iff_multiple_members(self):
         r = make_result([1.0], [1.0], [1.0], grid=np.array([0.0]))
-        other = PdpCurve(feature_index=0, grid=r.grid, values=np.array([2.0]), model_id=1)
+        two = replace(r, curves=np.array([[1.0], [2.0]]), model_ids=(0, 1))
         assert compute_metrics(r).defined is False
-        assert compute_metrics(replace(r, per_model=(r.best_curve, other))).defined is True
+        assert compute_metrics(two).defined is True
 
     def test_singleton_values_are_degenerate(self):
         v = [1.0, 2.0]

@@ -12,10 +12,9 @@ import pytest
 from rashpdp.data import Dataset, split
 from rashpdp.learners import RegressionTree, SearchBudget, train_pool
 from rashpdp.pdp import (
-    PdpCurve,
+    RashomonPdpResult,
     bootstrap_bands,
     pdp_single,
-    rashomon_pdp,
     rashomon_profile,
     write_profile_csv,
     _percentile_band,
@@ -25,12 +24,9 @@ from rashpdp.rashomon import form_set
 from conftest import ConstantPredictor, LinearPredictor, stub_model
 
 
-def curve(values, grid=None, model_id=None):
-    values = np.asarray(values, dtype=np.float64)
-    if grid is None:
-        grid = np.arange(values.size, dtype=np.float64)
-    return PdpCurve(feature_index=0, grid=np.asarray(grid, dtype=np.float64),
-                    values=values, model_id=model_id)
+def curves(*rows):
+    """Member-profile matrix, one row per model."""
+    return np.array(rows, dtype=np.float64)
 
 
 # ---------------------------------------------------------------------------
@@ -54,8 +50,7 @@ class TestPdpSingle:
         model = stub_model(0, 1.0, ConstantPredictor(2.5))
         grid = np.array([-1.0, 0.0, 1.0])
         c = pdp_single(model, tiny_dataset, np.arange(tiny_dataset.n_rows), 0, grid)
-        np.testing.assert_array_equal(c.values, [2.5, 2.5, 2.5])
-        assert c.model_id == 0
+        np.testing.assert_array_equal(c, [2.5, 2.5, 2.5])
 
     def test_linear_model_gives_affine_curve(self, tiny_dataset):
         # f(x) = 3*x0 + 2*x1 - 1: profile over x0 is 3*g + mean(2*x1 - 1)
@@ -64,7 +59,7 @@ class TestPdpSingle:
         grid = np.array([-2.0, 0.5, 4.0])
         c = pdp_single(model, tiny_dataset, rows, 0, grid)
         offset = np.mean(2.0 * tiny_dataset.features[rows, 1] - 1.0)
-        np.testing.assert_allclose(c.values, 3.0 * grid + offset, rtol=1e-12)
+        np.testing.assert_allclose(c, 3.0 * grid + offset, rtol=1e-12)
 
     def test_two_row_stump_hand_average(self):
         # stump on feature 0 splits at 5 with leaves 0 and 10; profiling
@@ -76,11 +71,11 @@ class TestPdpSingle:
         tree = RegressionTree(max_depth=1).fit(X, y)
         model = stub_model(0, 0.0, tree)
         c0 = pdp_single(model, ds, np.array([0, 1]), 0, np.array([1.0, 5.0, 9.0]))
-        np.testing.assert_array_equal(c0.values, [0.0, 0.0, 10.0])
+        np.testing.assert_array_equal(c0, [0.0, 0.0, 10.0])
         # profiling the unused feature leaves each row at its own leaf:
         # hand average = (0 + 10) / 2 at every grid point
         c1 = pdp_single(model, ds, np.array([0, 1]), 1, np.array([0.0, 0.5, 1.0]))
-        np.testing.assert_array_equal(c1.values, [5.0, 5.0, 5.0])
+        np.testing.assert_array_equal(c1, [5.0, 5.0, 5.0])
 
     @pytest.mark.parametrize("grid_output, message", [
         (lambda size: np.full(size, np.nan), "non-finite predictions"),
@@ -112,41 +107,47 @@ class TestPdpSingle:
 
 
 class TestRashomonPdp:
-    def test_single_curve_unchanged(self):
-        c = curve([1.0, 2.0, 3.0])
-        np.testing.assert_array_equal(rashomon_pdp([c]), c.values)
+    """The Rashomon profile is the pointwise mean of the member profiles."""
 
-    def test_two_constants_average_to_half(self):
-        out = rashomon_pdp([curve([0.0, 0.0]), curve([1.0, 1.0])])
-        np.testing.assert_array_equal(out, [0.5, 0.5])
+    @staticmethod
+    def profile(ds, predictors):
+        pool = [stub_model(i, 1.0, p) for i, p in enumerate(predictors)]
+        return rashomon_profile(form_set(pool, 0.5), ds, split(ds, 0.25, seed=2), 0, 4,
+                                n_boot=20, alpha=0.05, seed=1)
 
-    def test_three_curve_mean(self):
-        out = rashomon_pdp([curve([1.0, 2.0]), curve([3.0, 4.0]), curve([5.0, 6.0])])
-        np.testing.assert_array_equal(out, [3.0, 4.0])
+    def test_single_curve_unchanged(self, tiny_dataset):
+        result = self.profile(tiny_dataset, [LinearPredictor([2.0, 0.0, 0.0], 1.0)])
+        np.testing.assert_array_equal(result.mean, result.curves[0])
 
-    def test_grid_mismatch_rejected(self):
-        with pytest.raises(ValueError, match="identical grid"):
-            rashomon_pdp([curve([1.0, 2.0]), curve([1.0, 2.0], grid=[0.0, 5.0])])
+    def test_two_constants_average_to_half(self, tiny_dataset):
+        result = self.profile(tiny_dataset, [ConstantPredictor(0.0), ConstantPredictor(1.0)])
+        np.testing.assert_array_equal(result.mean, [0.5] * 4)
 
-    def test_empty_list_rejected(self):
-        with pytest.raises(ValueError, match="at least one"):
-            rashomon_pdp([])
+    def test_three_curve_mean(self, tiny_dataset):
+        result = self.profile(tiny_dataset, [LinearPredictor([a, 0.0, 0.0], b)
+                                             for a, b in ((1.0, 0.0), (3.0, 1.0), (5.0, 2.0))])
+        np.testing.assert_allclose(result.mean, 3.0 * result.grid + 1.0, rtol=1e-12)
 
 
 class TestBootstrapBands:
     def test_single_curve_degenerates_to_the_curve(self):
-        c = curve([4.0, 5.0, 6.0])
-        lo, hi = bootstrap_bands([c], n_boot=64, alpha=0.05, seed=3)
-        np.testing.assert_array_equal(lo, c.values)
-        np.testing.assert_array_equal(hi, c.values)
+        cs = curves([4.0, 5.0, 6.0])
+        lo, hi = bootstrap_bands(cs, n_boot=64, alpha=0.05, seed=3)
+        np.testing.assert_array_equal(lo, cs[0])
+        np.testing.assert_array_equal(hi, cs[0])
+
+    @pytest.mark.parametrize("empty", [np.empty((0, 3)), np.array([])], ids=["no-rows", "1-d"])
+    def test_empty_input_rejected(self, empty):
+        with pytest.raises(ValueError, match="at least one"):
+            bootstrap_bands(empty, n_boot=4, alpha=0.05, seed=0)
 
     def test_identical_curves_give_zero_width(self):
-        cs = [curve([1.0, -2.0, 0.5]) for _ in range(4)]
+        cs = curves(*[[1.0, -2.0, 0.5]] * 4)
         lo, hi = bootstrap_bands(cs, n_boot=128, alpha=0.1, seed=0)
         np.testing.assert_array_equal(lo, hi)
 
     def test_large_b_two_constant_curves_covers_both(self):
-        cs = [curve([0.0, 0.0]), curve([1.0, 1.0])]
+        cs = curves([0.0, 0.0], [1.0, 1.0])
         lo, hi = bootstrap_bands(cs, n_boot=4000, alpha=0.05, seed=9)
         # replicate means are {0, .5, 1} with weights {1/4, 1/2, 1/4}; a 95%
         # band over 4000 draws reaches both extremes
@@ -155,13 +156,11 @@ class TestBootstrapBands:
     def test_band_matches_oracle_for_drawn_replicates(self):
         # reproduce the documented draw procedure, then check the quantile
         # step against the independent oracle
-        cs = [curve([0.0, 2.0], model_id=0), curve([1.0, 4.0], model_id=1),
-              curve([3.0, 0.0], model_id=2)]
-        stacked = np.stack([c.values for c in cs])
+        cs = curves([0.0, 2.0], [1.0, 4.0], [3.0, 0.0])
         for seed in range(12):
             lo, hi = bootstrap_bands(cs, n_boot=7, alpha=0.1, seed=seed)
             idx = np.random.default_rng(seed).integers(0, 3, size=(7, 3))
-            means = stacked[idx].mean(axis=1)
+            means = cs[idx].mean(axis=1)
             for col in range(2):
                 olo, ohi = oracle_band(list(means[:, col]), 0.1)
                 assert lo[col] == pytest.approx(olo, abs=1e-15)
@@ -192,13 +191,13 @@ class TestBootstrapBands:
         possible = set()
         for means in itertools.combinations_with_replacement(per_replicate, 5):
             possible.add(oracle_band(list(means), 0.05))
-        cs = [curve([0.0], grid=[0.0]), curve([1.0], grid=[0.0])]
+        cs = curves([0.0], [1.0])
         for seed in range(40):
             lo, hi = bootstrap_bands(cs, n_boot=5, alpha=0.05, seed=seed)
             assert (lo[0], hi[0]) in possible
 
     def test_deterministic_in_seed(self):
-        cs = [curve([0.0, 1.0]), curve([2.0, 3.0])]
+        cs = curves([0.0, 1.0], [2.0, 3.0])
         a = bootstrap_bands(cs, n_boot=100, alpha=0.05, seed=42)
         b = bootstrap_bands(cs, n_boot=100, alpha=0.05, seed=42)
         np.testing.assert_array_equal(a[0], b[0])
@@ -206,7 +205,7 @@ class TestBootstrapBands:
 
     def test_invalid_alpha_rejected(self):
         with pytest.raises(ValueError, match="alpha"):
-            bootstrap_bands([curve([1.0])], n_boot=4, alpha=1.5, seed=0)
+            bootstrap_bands(curves([1.0]), n_boot=4, alpha=1.5, seed=0)
 
 
 class TestRashomonProfile:
@@ -222,20 +221,18 @@ class TestRashomonProfile:
         if rset.rss != 1:
             pytest.skip("pool happens to have exact ties")
         result = rashomon_profile(rset, ds, sp, 0, 10, n_boot=50, alpha=0.05, seed=1)
-        np.testing.assert_array_equal(result.mean, result.best_curve.values)
+        np.testing.assert_array_equal(result.mean, result.best_values)
         np.testing.assert_array_equal(result.ci_lo, result.ci_hi)
 
     def test_result_is_complete_and_consistent(self, trained):
         ds, sp, pool = trained
         rset = form_set(pool, 5.0)
         result = rashomon_profile(rset, ds, sp, 1, 8, n_boot=100, alpha=0.1, seed=3)
-        assert len(result.per_model) == rset.rss
-        ids = [c.model_id for c in result.per_model]
-        assert ids == sorted(ids)
-        np.testing.assert_array_equal(
-            result.mean, rashomon_pdp(list(result.per_model))
-        )
-        assert result.best_curve.model_id == rset.best_id
+        assert result.curves.shape == (rset.rss, result.grid.size)
+        assert list(result.model_ids) == sorted(rset.member_ids)
+        np.testing.assert_array_equal(result.mean, result.curves.mean(axis=0))
+        assert result.model_ids[result.best] == rset.best_id
+        np.testing.assert_array_equal(result.best_values, result.curves[result.best])
         assert np.all(result.ci_lo <= result.ci_hi)
         assert result.n_boot == 100 and result.alpha == 0.1 and result.seed == 3
 
@@ -249,18 +246,40 @@ class TestRashomonProfile:
         np.testing.assert_array_equal(forward.ci_lo, backward.ci_lo)
 
 
+def make_result(cs, model_ids=(3, 7), best=0, **changes):
+    lo, hi = bootstrap_bands(cs, n_boot=50, alpha=0.05, seed=0)
+    fields = dict(feature_index=0, grid=np.arange(cs.shape[1], dtype=np.float64),
+                  curves=cs, model_ids=model_ids, best=best, mean=cs.mean(axis=0),
+                  ci_lo=lo, ci_hi=hi, n_boot=50, alpha=0.05, seed=0, feature_name="x")
+    return RashomonPdpResult(**{**fields, **changes})
+
+
+class TestRashomonPdpResult:
+    @pytest.mark.parametrize("changes, message", [
+        ({"model_ids": (3,)}, "one row of the grid's length 2 per model id"),
+        ({"curves": np.ones((2, 3))}, "one row of the grid's length 2 per model id"),
+        ({"curves": np.empty((0, 2)), "model_ids": ()}, "at least one row"),
+        ({"curves": np.array([[0.0, np.inf], [1.0, 1.0]])}, "must be finite"),
+        ({"best": 2}, "best row 2 out of range for 2 curves"),
+        ({"best": -1}, "best row -1 out of range"),
+        ({"mean": np.zeros(3)}, "mean must have the grid's length 2"),
+        ({"ci_lo": np.ones(2), "ci_hi": np.zeros(2)}, "lower band"),
+    ], ids=["ids", "grid-length", "empty", "non-finite", "best-past-end", "best-negative",
+            "mean-length", "band-order"])
+    def test_inconsistent_result_rejected(self, changes, message):
+        with pytest.raises(ValueError, match=message):
+            make_result(curves([0.0, 1.0], [2.0, 3.0]), **changes)
+
+    def test_curves_are_read_only(self):
+        result = make_result(curves([0.0, 1.0], [2.0, 3.0]))
+        with pytest.raises(ValueError, match="read-only"):
+            result.curves[0, 0] = 5.0
+
+
 class TestProfileCsv:
     def test_values_round_trip_exactly(self, tmp_path):
-        cs = [curve([0.123456789012345678, 2.0], model_id=3),
-              curve([1.0, 1e-17], model_id=7)]
-        from rashpdp.pdp import RashomonPdpResult
-
-        lo, hi = bootstrap_bands(cs, n_boot=50, alpha=0.05, seed=0)
-        result = RashomonPdpResult(
-            feature_index=0, grid=cs[0].grid, mean=rashomon_pdp(cs),
-            ci_lo=lo, ci_hi=hi, best_curve=cs[0], per_model=tuple(cs),
-            n_boot=50, alpha=0.05, seed=0, feature_name="x",
-        )
+        cs = curves([0.123456789012345678, 2.0], [1.0, 1e-17])
+        result = make_result(cs, best=1)
         path = tmp_path / "profile.csv"
         write_profile_csv(result, path)
         lines = path.read_text(encoding="utf-8").strip().splitlines()
@@ -269,9 +288,9 @@ class TestProfileCsv:
         for i, line in enumerate(lines[1:]):
             fields = [float(v) for v in line.split(",")]
             assert fields[0] == result.grid[i]
-            assert fields[1] == result.best_curve.values[i]
+            assert fields[1] == cs[1, i]
             assert fields[2] == result.mean[i]
             assert fields[3] == result.ci_lo[i]
             assert fields[4] == result.ci_hi[i]
-            assert fields[5] == cs[0].values[i]
-            assert fields[6] == cs[1].values[i]
+            assert fields[5] == cs[0, i]
+            assert fields[6] == cs[1, i]

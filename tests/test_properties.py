@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 from rashpdp.data import Dataset, feature_grid, split
 from rashpdp.learners import GradientBoostingRegression, RandomForestRegression, RegressionTree
 from rashpdp.metrics import coverage_rate, mwci
-from rashpdp.pdp import PdpCurve, RashomonPdpResult, bootstrap_bands, rashomon_pdp
+from rashpdp.pdp import RashomonPdpResult, bootstrap_bands
 from rashpdp.rashomon import form_set
 
 from conftest import fit_per_node, stub_pool
@@ -32,15 +32,18 @@ def curve_sets(draw, min_curves=1, max_curves=6):
     values = draw(st.lists(
         st.lists(finite, min_size=m, max_size=m), min_size=r, max_size=r,
     ))
-    return [PdpCurve(0, grid, np.asarray(v), model_id=i) for i, v in enumerate(values)]
+    return np.array(values, dtype=np.float64)
 
 
 def band_result(curves, lo, hi, best=None):
-    best_curve = best if best is not None else curves[0]
+    """Result over the member rows `curves`; a `best` profile that is not a
+    member is appended as one more row, outside the mean and band."""
+    rows = curves if best is None else np.vstack([curves, best])
+    k, m = rows.shape
     return RashomonPdpResult(
-        feature_index=0, grid=curves[0].grid, mean=rashomon_pdp(curves),
-        ci_lo=lo, ci_hi=hi, best_curve=best_curve, per_model=tuple(curves),
-        n_boot=1, alpha=0.05, seed=0,
+        feature_index=0, grid=np.arange(m, dtype=np.float64), curves=rows,
+        model_ids=tuple(range(k)), best=k - 1 if best is not None else 0,
+        mean=curves.mean(axis=0), ci_lo=lo, ci_hi=hi, n_boot=1, alpha=0.05, seed=0,
     )
 
 
@@ -80,12 +83,9 @@ def test_wider_alpha_gives_nested_band(curves, seed, alphas):
        a=st.floats(min_value=-3.0, max_value=3.0).filter(lambda v: abs(v) > 0.01),
        c=st.floats(min_value=-5.0, max_value=5.0))
 def test_affine_transform_maps_mean_and_bands(curves, seed, a, c):
-    transformed = [
-        PdpCurve(0, cu.grid, a * cu.values + c, model_id=cu.model_id)
-        for cu in curves
-    ]
-    base_mean = rashomon_pdp(curves)
-    new_mean = rashomon_pdp(transformed)
+    transformed = a * curves + c
+    base_mean = curves.mean(axis=0)
+    new_mean = transformed.mean(axis=0)
     np.testing.assert_allclose(new_mean, a * base_mean + c, rtol=1e-9, atol=1e-9)
 
     lo, hi = bootstrap_bands(curves, 150, 0.1, seed)
@@ -108,8 +108,7 @@ def test_affine_transform_maps_mean_and_bands(curves, seed, a, c):
        best_values=st.lists(finite, min_size=8, max_size=8))
 def test_coverage_rate_is_a_fraction(curves, seed, best_values):
     lo, hi = bootstrap_bands(curves, 120, 0.1, seed)
-    m = curves[0].grid.size
-    best = PdpCurve(0, curves[0].grid, np.asarray(best_values[:m]), model_id=99)
+    best = np.asarray(best_values[:curves.shape[1]])
     cr = coverage_rate(band_result(curves, lo, hi, best=best))
     assert 0.0 <= cr <= 1.0
     assert mwci(band_result(curves, lo, hi, best=best)) >= 0.0
@@ -120,10 +119,9 @@ def test_coverage_rate_is_a_fraction(curves, seed, best_values):
 @COMMON
 @given(curves=curve_sets())
 def test_mean_within_pointwise_envelope(curves):
-    mean = rashomon_pdp(curves)
-    stacked = np.stack([c.values for c in curves])
-    assert np.all(mean >= stacked.min(axis=0) - 1e-12)
-    assert np.all(mean <= stacked.max(axis=0) + 1e-12)
+    mean = curves.mean(axis=0)
+    assert np.all(mean >= curves.min(axis=0) - 1e-12)
+    assert np.all(mean <= curves.max(axis=0) + 1e-12)
 
 
 # --- closed-interval coverage at band boundaries -----------------------------
@@ -134,11 +132,9 @@ def test_mean_within_pointwise_envelope(curves):
 def test_boundary_points_count_as_covered(curves, seed, on_upper):
     lo, hi = bootstrap_bands(curves, 100, 0.1, seed)
     boundary = hi.copy() if on_upper else lo.copy()
-    best = PdpCurve(0, curves[0].grid, boundary, model_id=99)
-    assert coverage_rate(band_result(curves, lo, hi, best=best)) == 1.0
+    assert coverage_rate(band_result(curves, lo, hi, best=boundary)) == 1.0
     outside = hi + 1.0 if on_upper else lo - 1.0
-    best_out = PdpCurve(0, curves[0].grid, outside, model_id=99)
-    assert coverage_rate(band_result(curves, lo, hi, best=best_out)) == 0.0
+    assert coverage_rate(band_result(curves, lo, hi, best=outside)) == 0.0
 
 
 # --- metric transform behavior ------------------------------------------------
@@ -152,15 +148,11 @@ def test_boundary_points_count_as_covered(curves, seed, on_upper):
 def test_coverage_invariant_and_width_scaling_under_affine_maps(curves, seed, a, c,
                                                                 offsets):
     lo, hi = bootstrap_bands(curves, 120, 0.1, seed)
-    m = curves[0].grid.size
     # offsets place the best curve exactly on, clearly inside, or clearly
     # outside the band; ulp-scale gaps would not survive the affine map
-    best = PdpCurve(0, curves[0].grid, lo + np.asarray(offsets[:m]), model_id=99)
+    best = lo + np.asarray(offsets[:curves.shape[1]])
     base = band_result(curves, lo, hi, best=best)
-    moved = band_result(
-        curves, a * lo + c, a * hi + c,
-        best=PdpCurve(0, curves[0].grid, a * best.values + c, model_id=99),
-    )
+    moved = band_result(curves, a * lo + c, a * hi + c, best=a * best + c)
     assert coverage_rate(moved) == coverage_rate(base)
     assert mwci(moved) == pytest.approx(a * mwci(base), rel=1e-9, abs=1e-12)
 
@@ -310,6 +302,6 @@ def test_grid_increasing_and_inside_column_range(values, m):
 @COMMON
 @given(curves=curve_sets(min_curves=2), seed=seeds)
 def test_curve_order_does_not_change_aggregates(curves, seed):
-    reordered = list(reversed(curves))
-    np.testing.assert_allclose(rashomon_pdp(curves), rashomon_pdp(reordered),
+    reordered = curves[::-1]
+    np.testing.assert_allclose(curves.mean(axis=0), reordered.mean(axis=0),
                                rtol=1e-12, atol=1e-12)

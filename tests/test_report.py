@@ -24,7 +24,7 @@ from rashpdp.learners import (
     save_pool,
     train_pool,
 )
-from rashpdp.pdp import PdpCurve, RashomonPdpResult
+from rashpdp.pdp import RashomonPdpResult
 from rashpdp.report import (
     CONFIG_FIELDS,
     RunConfig,
@@ -95,12 +95,14 @@ RULE_CASES = [
     ("features", ("x1", ""), "features must be non-blank names without ',', got ('x1', '')"),
     ("features", (" ",), "features must be non-blank names without ',', got (' ',)"),
     ("features", ("x1,x2",), "features must be non-blank names without ',', got ('x1,x2',)"),
-    ("epsilon", -1.0, "epsilon must be > 0, got -1.0"),
-    ("epsilon", 0.0, "epsilon must be > 0, got 0.0"),
-    ("epsilon", math.nan, "epsilon must be > 0, got nan"),
+    ("epsilon", -1.0, "epsilon must be finite and > 0, got -1.0"),
+    ("epsilon", 0.0, "epsilon must be finite and > 0, got 0.0"),
+    ("epsilon", math.nan, "epsilon must be finite and > 0, got nan"),
+    ("epsilon", math.inf, "epsilon must be finite and > 0, got inf"),
     ("max_models", 0, "max_models must be >= 1, got 0"),
-    ("max_runtime_secs", 0.0, "max_runtime_secs must be > 0, got 0.0"),
-    ("max_runtime_secs", math.nan, "max_runtime_secs must be > 0, got nan"),
+    ("max_runtime_secs", 0.0, "max_runtime_secs must be finite and > 0, got 0.0"),
+    ("max_runtime_secs", math.nan, "max_runtime_secs must be finite and > 0, got nan"),
+    ("max_runtime_secs", math.inf, "max_runtime_secs must be finite and > 0, got inf"),
     ("test_fraction", 0.0, "test_fraction must be in (0, 1), got 0.0"),
     ("test_fraction", 1.0, "test_fraction must be in (0, 1), got 1.0"),
     ("test_fraction", math.nan, "test_fraction must be in (0, 1), got nan"),
@@ -275,15 +277,10 @@ class TestSvg:
     def make_result(self, n=5, spread=0.2):
         grid = np.linspace(0.0, 1.0, n)
         mean = np.sin(grid * 3)
-        best = mean + 0.05
         return RashomonPdpResult(
-            feature_index=0, grid=grid, mean=mean, ci_lo=mean - spread,
-            ci_hi=mean + spread,
-            best_curve=PdpCurve(0, grid, best, model_id=2),
-            per_model=(
-                PdpCurve(0, grid, mean - spread / 2, model_id=2),
-                PdpCurve(0, grid, mean + spread / 2, model_id=5),
-            ),
+            feature_index=0, grid=grid,
+            curves=np.array([mean - spread / 2, mean + spread / 2]), model_ids=(2, 5),
+            best=0, mean=mean, ci_lo=mean - spread, ci_hi=mean + spread,
             n_boot=100, alpha=0.05, seed=0, feature_name="load",
         )
 
@@ -410,6 +407,8 @@ class TestCli:
                       "pool archive {path}: model 0: key 'id' must be an integer, got '0'"),
         "bool id": (lambda p: p["models"][0].update(id=False),
                     "pool archive {path}: model 0: key 'id' must be an integer, got False"),
+        "repeated id": (lambda p: p["models"][1].update(id=0),
+                        "pool archive {path}: model 1: key 'id' repeats an earlier model's id 0"),
         "string score": (lambda p: p["models"][0].update(score="0.5"),
                          "pool archive {path}: model 0: "
                          "key 'score' must be a finite number, got '0.5'"),
@@ -630,16 +629,17 @@ class TestCli:
                 "the suite's own output directory" in capsys.readouterr().err)
         assert not (tmp_path / "s").exists()
 
+    @pytest.mark.parametrize("value", ["nan", "inf"])
     def test_nan_epsilon_exit_one_before_training(self, linear_csv, tmp_path, capsys,
-                                                  monkeypatch):
+                                                  monkeypatch, value):
         def no_training(*args, **kwargs):
             raise AssertionError("train_pool was called")
 
         monkeypatch.setattr("rashpdp.report.train_pool", no_training)
-        code = main(["explain", "--data", linear_csv, "--target", "y", "--epsilon", "nan",
+        code = main(["explain", "--data", linear_csv, "--target", "y", "--epsilon", value,
                      "--out", str(tmp_path / "o")])
         assert code == 1
-        assert "epsilon must be > 0, got nan" in capsys.readouterr().err
+        assert f"epsilon must be finite and > 0, got {value}" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
     def test_feature_flag_with_comma_exit_one(self, linear_csv, tmp_path, capsys):
@@ -651,7 +651,7 @@ class TestCli:
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("second_config, code, message", [
-        ("data = d1.csv\ntarget = y\nepsilon = 0\n", 1, "epsilon must be > 0, got 0.0"),
+        ("data = d1.csv\ntarget = y\nepsilon = 0\n", 1, "epsilon must be finite and > 0, got 0.0"),
         ("data = d1.csv\n", 1, "target must be set, got ''"),
         ("data = absent.csv\ntarget = y\n", 2, "no such file: {configs}/absent.csv"),
     ], ids=["zero epsilon", "no target", "missing data file"])
