@@ -29,6 +29,7 @@ from .metrics import (
 from .pdp import (
     RashomonPdpResult,
     bootstrap_bands,
+    member_profiles,
     pdp_single,
     rashomon_profile,
     write_profile_csv,
@@ -71,6 +72,7 @@ __all__ = [
     "form_set",
     "load_csv",
     "load_pool",
+    "member_profiles",
     "mwci",
     "pdp_single",
     "predict_batch",

@@ -226,7 +226,8 @@ def feature_grid(
 
     Quantiles are type-7 (linear interpolation). Columns with fewer distinct
     values than `grid_size` collapse to their distinct values, so the result
-    may be shorter than requested. `rows` restricts the computation (the
+    may be shorter than requested; a span too narrow for `grid_size`
+    distinct floats raises DataError. `rows` restricts the computation (the
     pipeline passes training rows); by default the whole column is used.
     """
     if grid_size < 2:
@@ -247,9 +248,10 @@ def feature_grid(
     if uniques.size < grid_size:
         return uniques
     lo, hi = np.quantile(column, [GRID_QUANTILE_LO, GRID_QUANTILE_HI], method="linear")
-    if hi <= lo:
+    grid = np.linspace(lo, hi, grid_size)
+    if np.any(np.diff(grid) <= 0):
         raise DataError(
-            f"feature '{ds.feature_names[feature_index]}' has zero grid span "
-            f"(near-constant column)"
+            f"feature '{ds.feature_names[feature_index]}' has a grid span too narrow for "
+            f"{grid_size} distinct points (near-constant column)"
         )
-    return np.linspace(lo, hi, grid_size)
+    return grid

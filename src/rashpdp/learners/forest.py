@@ -58,4 +58,10 @@ class RandomForestRegression(TreeEnsemble):
         return grown
 
     def _combine(self, predictions) -> np.ndarray:
-        return np.stack(list(predictions)).mean(axis=0)
+        # The bytes of np.stack(predictions).mean(axis=0) without the stack:
+        # that sum also starts from 0.0 (so -0.0 + -0.0 gives 0.0) and adds
+        # the trees in order; the first += makes the array.
+        total = 0.0
+        for v in predictions:
+            total += v
+        return total / self.n_estimators

@@ -147,18 +147,46 @@ class RegressionTree:
             rows = rows[self.feature[nodes] >= 0]
         return self.value[idx]
 
-    def predict_grid(self, base: np.ndarray, j: int, grid: np.ndarray) -> np.ndarray:
-        """`predict_many` of `base` tiled once per grid value with column j set
-        to it, predicting once per interval between the thresholds on j: grid
-        values with as many thresholds strictly below them take the same path."""
+    def predict_grid(self, base: np.ndarray, features, grids) -> np.ndarray:
+        """For each feature j of `features`, with its grid in `grids`:
+        `predict_many` of `base` tiled once per grid value with column j set
+        to it. The vectors are concatenated in `features` order. Grid values
+        with as many thresholds on j strictly below them take the same path,
+        so one block of `base` is predicted per such class. Consecutive
+        features share one walk while it holds at most max(grid size) ×
+        len(base) rows, the largest tile one feature can need, which bounds
+        each walk's memory however many features are asked for."""
         base = np.asarray(base, dtype=np.float64)
-        grid = np.asarray(grid, dtype=np.float64)
-        cuts = np.sort(self.threshold[self.feature == j])
-        classes = np.searchsorted(cuts, grid, "left")
-        _, first, inverse = np.unique(classes, return_index=True, return_inverse=True)
-        X = np.tile(base, (first.size, 1))
-        X[:, j] = np.repeat(grid[first], base.shape[0])
-        return self.predict_many(X).reshape(first.size, -1)[inverse].ravel()
+        grids = [np.asarray(grid, dtype=np.float64) for grid in grids]
+        n = base.shape[0]
+        blocks = []  # (feature, the grid value of each class, grid point -> class)
+        for j, grid in zip(features, grids):
+            cuts = np.sort(self.threshold[self.feature == j])
+            classes = np.searchsorted(cuts, grid, "left")
+            _, first, inverse = np.unique(classes, return_index=True, return_inverse=True)
+            blocks.append((j, grid[first], inverse))
+        cap = max((grid.size for grid in grids), default=0) * n
+        out = np.empty((sum(grid.size for grid in grids), n))
+        at = start = 0
+        while start < len(blocks):
+            stop, tiles = start + 1, blocks[start][1].size
+            while stop < len(blocks) and (tiles + blocks[stop][1].size) * n <= cap:
+                tiles += blocks[stop][1].size
+                stop += 1
+            X = np.empty((tiles, n, base.shape[1]))
+            X[:] = base
+            tile = 0
+            for j, values, _ in blocks[start:stop]:
+                X[tile:tile + values.size, :, j] = values[:, None]
+                tile += values.size
+            predictions = self.predict_many(X.reshape(-1, base.shape[1])).reshape(tiles, n)
+            tile = 0
+            for _, values, inverse in blocks[start:stop]:
+                out[at:at + inverse.size] = predictions[tile:tile + values.size][inverse]
+                tile += values.size
+                at += inverse.size
+            start = stop
+        return out.ravel()
 
     def validate(self) -> None:
         check_trees([self], 1)
@@ -180,8 +208,8 @@ class TreeEnsemble:
         X = np.asarray(X, dtype=np.float64)
         return self._predict(lambda tree: tree.predict_many(X))
 
-    def predict_grid(self, base: np.ndarray, j: int, grid: np.ndarray) -> np.ndarray:
-        return self._predict(lambda tree: tree.predict_grid(base, j, grid))
+    def predict_grid(self, base: np.ndarray, features, grids) -> np.ndarray:
+        return self._predict(lambda tree: tree.predict_grid(base, features, grids))
 
     def _predict(self, predict) -> np.ndarray:
         if not self.trees_:

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import Dataset, Split, feature_grid
+from .data import Dataset, Split
 from .learners.pool import TrainedModel, checked_predictions, predict_batch
 from .rashomon import RashomonSet
 from .seeding import ROLE_BOOTSTRAP, ROLE_PDP_ROWS, derive_seed
@@ -72,32 +72,45 @@ class RashomonPdpResult:
         return self.curves[self.best]
 
 
-def pdp_single(model: TrainedModel, ds: Dataset, rows: np.ndarray,
-               feature_index: int, grid: np.ndarray) -> np.ndarray:
-    """Profile of one model: for each grid value, overwrite the feature on
-    every averaging row, predict, and take the mean prediction. A predictor
-    with `predict_grid` (the tree families) returns those predictions itself."""
+def member_profiles(model: TrainedModel, ds: Dataset, rows: np.ndarray,
+                    features, grids) -> list[np.ndarray]:
+    """Profiles of one model, one per feature index of `features` on its grid
+    in `grids`: for each grid value, overwrite the feature on every averaging
+    row, predict, and take the mean prediction. A predictor with
+    `predict_grid` (the tree families) returns the predictions of every
+    feature from one call; the others predict one tiled matrix per feature."""
     rows = np.asarray(rows, dtype=np.intp)
     if rows.size == 0:
         raise ValueError("profile averaging needs at least one row")
-    if not 0 <= feature_index < ds.n_features:
-        raise ValueError(
-            f"feature index {feature_index} out of range for {ds.n_features} features"
-        )
-    grid = np.asarray(grid, dtype=np.float64)
-    if grid.ndim != 1 or grid.size == 0 or np.any(np.diff(grid) <= 0):
-        raise ValueError("grid must be non-empty and strictly increasing")
+    grids = [np.asarray(grid, dtype=np.float64) for grid in grids]
+    for feature_index, grid in zip(features, grids, strict=True):
+        if not 0 <= feature_index < ds.n_features:
+            raise ValueError(
+                f"feature index {feature_index} out of range for {ds.n_features} features"
+            )
+        if grid.ndim != 1 or grid.size == 0 or np.any(np.diff(grid) <= 0):
+            raise ValueError("grid must be non-empty and strictly increasing")
 
     base = ds.features[rows]
+    sizes = [grid.size * rows.size for grid in grids]
     predict_grid = getattr(model.predictor, "predict_grid", None)
     if predict_grid is not None:  # exactly predict_batch on the tiled rows below
-        predictions = checked_predictions(model, predict_grid(base, feature_index, grid),
-                                          grid.size * rows.size)
+        predictions = np.split(checked_predictions(model, predict_grid(base, features, grids),
+                                                   sum(sizes)), np.cumsum(sizes)[:-1])
     else:
-        tiled = np.tile(base, (grid.size, 1))
-        tiled[:, feature_index] = np.repeat(grid, rows.size)
-        predictions = predict_batch(model, tiled)
-    return predictions.reshape(grid.size, rows.size).mean(axis=1)
+        predictions = []
+        for feature_index, grid in zip(features, grids):
+            tiled = np.tile(base, (grid.size, 1))
+            tiled[:, feature_index] = np.repeat(grid, rows.size)
+            predictions.append(predict_batch(model, tiled))
+    return [p.reshape(grid.size, rows.size).mean(axis=1)
+            for p, grid in zip(predictions, grids)]
+
+
+def pdp_single(model: TrainedModel, ds: Dataset, rows: np.ndarray,
+               feature_index: int, grid: np.ndarray) -> np.ndarray:
+    """Profile of one model on one feature: `member_profiles` of that feature."""
+    return member_profiles(model, ds, rows, [feature_index], [grid])[0]
 
 
 def _percentile_band(replicate_means: np.ndarray, alpha: float) -> tuple[np.ndarray, np.ndarray]:
@@ -131,40 +144,48 @@ def bootstrap_bands(curves: np.ndarray, n_boot: int, alpha: float,
     return _percentile_band(replicate_means, alpha)
 
 
-def rashomon_profile(rset: RashomonSet, ds: Dataset, sp: Split, feature_index: int,
-                     grid_size: int, n_boot: int = DEFAULT_BOOTSTRAP_COUNT,
-                     alpha: float = DEFAULT_ALPHA, seed: int = 0) -> RashomonPdpResult:
-    """Full pipeline for one feature: grid, member curves, mean, bands.
+def rashomon_profile(rset: RashomonSet, ds: Dataset, sp: Split,
+                     grids: dict[int, np.ndarray], n_boot: int = DEFAULT_BOOTSTRAP_COUNT,
+                     alpha: float = DEFAULT_ALPHA, seed: int = 0) -> list[RashomonPdpResult]:
+    """Full pipeline for the features keyed in `grids` (feature index -> its
+    grid): member curves, mean and bands, one result per feature in `grids`
+    order.
 
     The averaging rows are the training rows, subsampled to MAX_PDP_ROWS
     when larger; subsampling and bootstrap use independent streams derived
-    from `seed`. The member curves are in ascending model-id order.
+    from `seed`, and every feature's band uses the same bootstrap seed. Each
+    member profiles every feature in one `member_profiles` pass; the member
+    curves are in ascending model-id order.
     """
-    grid = feature_grid(ds, feature_index, grid_size, rows=sp.train_indices)
     rows = np.asarray(sp.train_indices, dtype=np.intp)
     if rows.size > MAX_PDP_ROWS:
         rng = np.random.default_rng(derive_seed(seed, ROLE_PDP_ROWS))
         rows = np.sort(rng.choice(rows, size=MAX_PDP_ROWS, replace=False))
 
+    features = list(grids)
     members = sorted(rset.members, key=lambda m: m.id)
-    curves = np.array([pdp_single(model, ds, rows, feature_index, grid) for model in members])
-    ci_lo, ci_hi = bootstrap_bands(curves, n_boot, alpha,
-                                   derive_seed(seed, ROLE_BOOTSTRAP))
+    profiles = [member_profiles(model, ds, rows, features, grids.values()) for model in members]
     model_ids = tuple(m.id for m in members)
-    return RashomonPdpResult(
-        feature_index=feature_index,
-        grid=grid,
-        curves=curves,
-        model_ids=model_ids,
-        best=model_ids.index(rset.best_id),
-        mean=curves.mean(axis=0),
-        ci_lo=ci_lo,
-        ci_hi=ci_hi,
-        n_boot=int(n_boot),
-        alpha=float(alpha),
-        seed=int(seed),
-        feature_name=ds.feature_names[feature_index],
-    )
+    results = []
+    for feature_index, member_curves in zip(features, zip(*profiles)):
+        curves = np.array(member_curves)
+        ci_lo, ci_hi = bootstrap_bands(curves, n_boot, alpha,
+                                       derive_seed(seed, ROLE_BOOTSTRAP))
+        results.append(RashomonPdpResult(
+            feature_index=feature_index,
+            grid=np.asarray(grids[feature_index], dtype=np.float64),
+            curves=curves,
+            model_ids=model_ids,
+            best=model_ids.index(rset.best_id),
+            mean=curves.mean(axis=0),
+            ci_lo=ci_lo,
+            ci_hi=ci_hi,
+            n_boot=int(n_boot),
+            alpha=float(alpha),
+            seed=int(seed),
+            feature_name=ds.feature_names[feature_index],
+        ))
+    return results
 
 
 def write_profile_csv(result: RashomonPdpResult, path: str | os.PathLike[str]) -> None:

@@ -10,7 +10,7 @@ import re
 from dataclasses import asdict, dataclass, replace
 from typing import Any, Callable, NamedTuple
 
-from .data import DEFAULT_GRID_SIZE, DEFAULT_TEST_FRACTION, load_csv, split
+from .data import DEFAULT_GRID_SIZE, DEFAULT_TEST_FRACTION, feature_grid, load_csv, split
 from .errors import ConfigError, DataError
 from .learners.archive import check_scores, load_pool, save_pool
 from .learners.pool import DEFAULT_MAX_MODELS, DEFAULT_MAX_RUNTIME_SECS, SearchBudget, train_pool
@@ -301,6 +301,15 @@ def run_dataset(cfg: RunConfig, load_pool_path: str | None = None,
                               f"both write profile_{stem}.csv and profile_{stem}.svg")
 
     sp = split(ds, cfg.test_fraction, derive_seed(cfg.seed, ROLE_SPLIT))
+    # The grids need only the training rows: a feature without a grid span
+    # fails here, before any model is trained or output written.
+    grids = {}
+    for name in feature_names:
+        j = ds.feature_index(name)
+        try:
+            grids[j] = feature_grid(ds, j, cfg.grid_size, rows=sp.train_indices)
+        except DataError as exc:
+            raise DataError(f"dataset '{ds.name}': {exc}") from None
     if load_pool_path is not None:
         pool = load_pool(load_pool_path)
         check_scores(pool, ds, sp, load_pool_path)
@@ -317,19 +326,12 @@ def run_dataset(cfg: RunConfig, load_pool_path: str | None = None,
 
     rset = form_set(pool, cfg.epsilon)
 
+    profiles = rashomon_profile(rset, ds, sp, grids, n_boot=cfg.n_boot, alpha=cfg.alpha,
+                                seed=cfg.seed)
     os.makedirs(cfg.out_dir, exist_ok=True)
-    results = {}
+    results = dict(zip(feature_names, profiles))
     feature_metrics = {}
-    for name in feature_names:
-        j = ds.feature_index(name)
-        try:
-            result = rashomon_profile(
-                rset, ds, sp, j, cfg.grid_size,
-                n_boot=cfg.n_boot, alpha=cfg.alpha, seed=cfg.seed,
-            )
-        except DataError as exc:
-            raise DataError(f"dataset '{ds.name}': {exc}") from None
-        results[name] = result
+    for name, result in results.items():
         feature_metrics[name] = compute_metrics(result)
         stem = _safe_filename(name)
         write_profile_csv(result, os.path.join(cfg.out_dir, f"profile_{stem}.csv"))

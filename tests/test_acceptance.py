@@ -15,7 +15,7 @@ import xml.etree.ElementTree as ET
 import numpy as np
 import pytest
 
-from rashpdp.data import save_csv, split
+from rashpdp.data import feature_grid, save_csv, split
 from rashpdp.learners import LINEAR_RIDGE, RidgeRegression, TrainedModel, rmse
 from rashpdp.metrics import coverage_rate, mwci
 from rashpdp.pdp import pdp_single, rashomon_profile, _percentile_band
@@ -102,7 +102,8 @@ def test_criterion_4_analytic_linear_oracle():
     epsilon = (max(scores) / max(min(scores), 1e-300) - 1.0) * 1.1 + 0.01
     rset = form_set(pool, epsilon)
     assert rset.rss == len(pool)
-    result = rashomon_profile(rset, ds, sp, 0, 20, n_boot=500, alpha=0.05, seed=17)
+    grids = {0: feature_grid(ds, 0, 20, rows=sp.train_indices)}
+    result = rashomon_profile(rset, ds, sp, grids, n_boot=500, alpha=0.05, seed=17)[0]
     width = mwci(result)
     assert width < 1e-3
     elapsed = time.monotonic() - started

@@ -171,6 +171,15 @@ class TestFeatureGrid:
         with pytest.raises(DataError, match="constant"):
             feature_grid(ds, 0, 5)
 
+    def test_grid_span_too_narrow_for_distinct_points_rejected(self):
+        # the [1%, 99%] span is one ulp wide: linspace(1, 1 + ulp, 3) repeats 1.0
+        col = np.array([1.0, np.nextafter(1.0, 2.0)] * 100)
+        col[0], col[1] = 0.0, 5.0
+        ds = Dataset("n", np.column_stack([col, np.arange(200.0)]),
+                     ("x", "pad"), np.zeros(200), "y")
+        with pytest.raises(DataError, match="feature 'x' has a grid span too narrow for 3"):
+            feature_grid(ds, 0, 3)
+
     def test_rows_argument_restricts_quantiles(self):
         col = np.concatenate([np.arange(101.0), [1e6]])
         ds = Dataset("r", np.column_stack([col, np.arange(102.0)]),

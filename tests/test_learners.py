@@ -188,6 +188,18 @@ class TestRandomForest:
             for name in RegressionTree.FITTED:
                 assert getattr(grown, name).tobytes() == getattr(expected, name).tobytes()
 
+    def test_prediction_is_the_mean_of_the_stacked_trees(self):
+        # the running sum gives the bytes of mean(axis=0), whose sum starts
+        # from 0.0: rows where every tree predicts -0.0 average to 0.0
+        X = np.random.default_rng(6).normal(size=(40, 3))
+        y = X[:, 0] * 1e8 + X[:, 1]
+        forest = RandomForestRegression(n_estimators=9, seed=2).fit(X, y)
+        for tree in forest.trees_:
+            tree.value[tree.value < 0] = -0.0
+        stacked = np.stack([tree.predict_many(X) for tree in forest.trees_]).mean(axis=0)
+        assert np.signbit(stacked).sum() == 0 and (stacked == 0).any()
+        assert forest.predict_many(X).tobytes() == stacked.tobytes()
+
 
 class TestTrainPool:
     def test_single_model_budget(self, tiny_dataset):

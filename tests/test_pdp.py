@@ -9,8 +9,8 @@ import math
 import numpy as np
 import pytest
 
-from rashpdp.data import Dataset, split
-from rashpdp.learners import RegressionTree, SearchBudget, train_pool
+from rashpdp.data import Dataset, feature_grid, split
+from rashpdp.learners import RandomForestRegression, RegressionTree, SearchBudget, train_pool
 from rashpdp.pdp import (
     RashomonPdpResult,
     bootstrap_bands,
@@ -27,6 +27,12 @@ from conftest import ConstantPredictor, LinearPredictor, stub_model
 def curves(*rows):
     """Member-profile matrix, one row per model."""
     return np.array(rows, dtype=np.float64)
+
+
+def profile_one(rset, ds, sp, feature_index, grid_size, **kwargs):
+    """The Rashomon profile of one feature on its training-row grid."""
+    grid = feature_grid(ds, feature_index, grid_size, rows=sp.train_indices)
+    return rashomon_profile(rset, ds, sp, {feature_index: grid}, **kwargs)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -83,8 +89,8 @@ class TestPdpSingle:
     ], ids=["nan", "short"])
     def test_predict_grid_output_is_checked(self, tiny_dataset, grid_output, message):
         class GridPredictor(ConstantPredictor):
-            def predict_grid(self, base, j, grid):
-                return grid_output(len(grid) * len(base))
+            def predict_grid(self, base, features, grids):
+                return grid_output(sum(len(grid) for grid in grids) * len(base))
 
         model = stub_model(0, 1.0, GridPredictor(0.0))
         with pytest.raises(ValueError, match=message):
@@ -112,8 +118,8 @@ class TestRashomonPdp:
     @staticmethod
     def profile(ds, predictors):
         pool = [stub_model(i, 1.0, p) for i, p in enumerate(predictors)]
-        return rashomon_profile(form_set(pool, 0.5), ds, split(ds, 0.25, seed=2), 0, 4,
-                                n_boot=20, alpha=0.05, seed=1)
+        return profile_one(form_set(pool, 0.5), ds, split(ds, 0.25, seed=2), 0, 4,
+                           n_boot=20, alpha=0.05, seed=1)
 
     def test_single_curve_unchanged(self, tiny_dataset):
         result = self.profile(tiny_dataset, [LinearPredictor([2.0, 0.0, 0.0], 1.0)])
@@ -220,14 +226,14 @@ class TestRashomonProfile:
         rset = form_set(pool, 1e-9)
         if rset.rss != 1:
             pytest.skip("pool happens to have exact ties")
-        result = rashomon_profile(rset, ds, sp, 0, 10, n_boot=50, alpha=0.05, seed=1)
+        result = profile_one(rset, ds, sp, 0, 10, n_boot=50, alpha=0.05, seed=1)
         np.testing.assert_array_equal(result.mean, result.best_values)
         np.testing.assert_array_equal(result.ci_lo, result.ci_hi)
 
     def test_result_is_complete_and_consistent(self, trained):
         ds, sp, pool = trained
         rset = form_set(pool, 5.0)
-        result = rashomon_profile(rset, ds, sp, 1, 8, n_boot=100, alpha=0.1, seed=3)
+        result = profile_one(rset, ds, sp, 1, 8, n_boot=100, alpha=0.1, seed=3)
         assert result.curves.shape == (rset.rss, result.grid.size)
         assert list(result.model_ids) == sorted(rset.member_ids)
         np.testing.assert_array_equal(result.mean, result.curves.mean(axis=0))
@@ -238,12 +244,58 @@ class TestRashomonProfile:
 
     def test_pool_order_does_not_matter(self, trained):
         ds, sp, pool = trained
-        forward = rashomon_profile(form_set(pool, 5.0), ds, sp, 2, 6,
-                                   n_boot=40, alpha=0.05, seed=5)
-        backward = rashomon_profile(form_set(list(reversed(pool)), 5.0), ds, sp, 2, 6,
-                                    n_boot=40, alpha=0.05, seed=5)
+        forward = profile_one(form_set(pool, 5.0), ds, sp, 2, 6,
+                              n_boot=40, alpha=0.05, seed=5)
+        backward = profile_one(form_set(list(reversed(pool)), 5.0), ds, sp, 2, 6,
+                               n_boot=40, alpha=0.05, seed=5)
         np.testing.assert_array_equal(forward.mean, backward.mean)
         np.testing.assert_array_equal(forward.ci_lo, backward.ci_lo)
+
+
+class TestSeveralFeatures:
+    """One member pass over several features gives the one-feature profiles."""
+
+    @pytest.mark.parametrize("order", [(0, 1, 2), (2, 0, 1)], ids=["ascending", "shuffled"])
+    def test_equals_one_feature_calls(self, tiny_dataset, order):
+        ds = tiny_dataset
+        sp = split(ds, 0.25, seed=2)
+        pool = train_pool(ds, sp, SearchBudget(max_models=6, seed=8))
+        rset = form_set(pool, 5.0)
+        grids = {j: feature_grid(ds, j, 7, rows=sp.train_indices) for j in order}
+        results = rashomon_profile(rset, ds, sp, grids, n_boot=60, alpha=0.1, seed=4)
+        assert [r.feature_index for r in results] == list(order)
+        for result in results:
+            one = profile_one(rset, ds, sp, result.feature_index, 7,
+                              n_boot=60, alpha=0.1, seed=4)
+            assert result.feature_name == one.feature_name
+            for name in ("grid", "curves", "mean", "ci_lo", "ci_hi"):
+                assert getattr(result, name).tobytes() == getattr(one, name).tobytes(), name
+
+    def test_tree_walks_are_shared_and_capped(self, tiny_dataset, monkeypatch):
+        ds = tiny_dataset
+        sp = split(ds, 0.25, seed=2)
+        rows = np.asarray(sp.train_indices)
+        forest = RandomForestRegression(n_estimators=6, seed=3).fit(
+            ds.features[rows], ds.target[rows])
+        grids = {j: feature_grid(ds, j, 6, rows=sp.train_indices) for j in range(3)}
+        base = ds.features[rows]
+        walks = []  # (rows walked, number of columns set away from base)
+        predict_many = RegressionTree.predict_many
+
+        def spy(tree, X):
+            differs = (X.reshape(-1, *base.shape) != base).any(axis=(0, 1))
+            walks.append((X.shape[0], np.count_nonzero(differs)))
+            return predict_many(tree, X)
+
+        monkeypatch.setattr(RegressionTree, "predict_many", spy)
+        rashomon_profile(form_set([stub_model(0, 1.0, forest)], 0.5), ds, sp, grids,
+                         n_boot=10, alpha=0.1, seed=0)
+        cap = max(grid.size for grid in grids.values()) * rows.size
+        assert max(n for n, _ in walks) <= cap
+        assert len(walks) < len(grids) * forest.n_estimators
+        assert max(features for _, features in walks) > 1
+        # the cap splits some tree's features over more than one walk
+        assert len(walks) > forest.n_estimators
 
 
 def make_result(cs, model_ids=(3, 7), best=0, **changes):

@@ -189,19 +189,26 @@ def tree_models(draw):
 
 
 @COMMON
-@given(fitted=tree_models(), extra=st.lists(st.floats(-1.0, 8.0), max_size=6),
-       one_point=st.booleans())
-def test_predict_grid_equals_tiled_prediction(fitted, extra, one_point):
-    model, base, j = fitted
+@given(fitted=tree_models(), data=st.data())
+def test_predict_grid_equals_tiled_prediction(fitted, data):
+    model, base, _ = fitted
     trees = getattr(model, "trees_", [model])
-    cuts = np.concatenate([t.threshold[t.feature == j] for t in trees])
-    # every threshold itself, values below the smallest and above the largest
-    grid = np.unique(np.concatenate([cuts, cuts - 1.0, cuts + 1.0, [-1.0, 8.0], extra]))
-    if one_point:
-        grid = grid[[len(grid) // 2]]
-    tiled = np.tile(base, (grid.size, 1))
-    tiled[:, j] = np.repeat(grid, base.shape[0])
-    assert model.predict_grid(base, j, grid).tobytes() == model.predict_many(tiled).tobytes()
+    features = data.draw(st.lists(st.integers(0, base.shape[1] - 1), min_size=1,
+                                  max_size=base.shape[1], unique=True))
+    grids, tiled_predictions = [], []
+    for j in features:
+        cuts = np.concatenate([t.threshold[t.feature == j] for t in trees])
+        extra = data.draw(st.lists(st.floats(-1.0, 8.0), max_size=6))
+        # every threshold itself, values below the smallest and above the largest
+        grid = np.unique(np.concatenate([cuts, cuts - 1.0, cuts + 1.0, [-1.0, 8.0], extra]))
+        if data.draw(st.booleans()):  # a one-point grid
+            grid = grid[[len(grid) // 2]]
+        tiled = np.tile(base, (grid.size, 1))
+        tiled[:, j] = np.repeat(grid, base.shape[0])
+        grids.append(grid)
+        tiled_predictions.append(model.predict_many(tiled))
+    expected = np.concatenate(tiled_predictions)
+    assert model.predict_grid(base, features, grids).tobytes() == expected.tobytes()
 
 
 def _walk(tree, x):

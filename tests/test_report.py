@@ -642,6 +642,23 @@ class TestCli:
         assert f"epsilon must be finite and > 0, got {value}" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    def test_feature_without_grid_span_exit_two_before_training(self, tmp_path, capsys,
+                                                               monkeypatch):
+        def no_training(*args, **kwargs):
+            raise AssertionError("train_pool was called")
+
+        path = tmp_path / "flat_c.csv"
+        rng = np.random.default_rng(3)
+        path.write_text("a,b,c,y\n" + "".join(
+            f"{a:.17g},{b:.17g},1.0,{a + b:.17g}\n" for a, b in rng.uniform(size=(80, 2))),
+            encoding="utf-8")
+        monkeypatch.setattr("rashpdp.report.train_pool", no_training)
+        code = main(["explain", "--data", str(path), "--target", "y", "--max-models", "3",
+                     "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert "dataset 'flat_c': feature 'c' is constant" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     def test_feature_flag_with_comma_exit_one(self, linear_csv, tmp_path, capsys):
         code = main(["explain", "--data", linear_csv, "--target", "y", "--feature", "x1,x2",
                      "--out", str(tmp_path / "o")])
