@@ -4,6 +4,10 @@ from __future__ import annotations
 
 import numpy as np
 
+# Trees that one GridWalk takes side by side: each level's numpy calls serve
+# them all. 8 measured best on the benchmark's all-feature profile.
+GRID_CHUNK = 8
+
 
 class RegressionTree:
     """Binary regression tree stored in flat arrays.
@@ -150,43 +154,13 @@ class RegressionTree:
     def predict_grid(self, base: np.ndarray, features, grids) -> np.ndarray:
         """For each feature j of `features`, with its grid in `grids`:
         `predict_many` of `base` tiled once per grid value with column j set
-        to it. The vectors are concatenated in `features` order. Grid values
-        with as many thresholds on j strictly below them take the same path,
-        so one block of `base` is predicted per such class. Consecutive
-        features share one walk while it holds at most max(grid size) ×
-        len(base) rows, the largest tile one feature can need, which bounds
-        each walk's memory however many features are asked for."""
-        base = np.asarray(base, dtype=np.float64)
-        grids = [np.asarray(grid, dtype=np.float64) for grid in grids]
-        n = base.shape[0]
-        blocks = []  # (feature, the grid value of each class, grid point -> class)
-        for j, grid in zip(features, grids):
-            cuts = np.sort(self.threshold[self.feature == j])
-            classes = np.searchsorted(cuts, grid, "left")
-            _, first, inverse = np.unique(classes, return_index=True, return_inverse=True)
-            blocks.append((j, grid[first], inverse))
-        cap = max((grid.size for grid in grids), default=0) * n
-        out = np.empty((sum(grid.size for grid in grids), n))
-        at = start = 0
-        while start < len(blocks):
-            stop, tiles = start + 1, blocks[start][1].size
-            while stop < len(blocks) and (tiles + blocks[stop][1].size) * n <= cap:
-                tiles += blocks[stop][1].size
-                stop += 1
-            X = np.empty((tiles, n, base.shape[1]))
-            X[:] = base
-            tile = 0
-            for j, values, _ in blocks[start:stop]:
-                X[tile:tile + values.size, :, j] = values[:, None]
-                tile += values.size
-            predictions = self.predict_many(X.reshape(-1, base.shape[1])).reshape(tiles, n)
-            tile = 0
-            for _, values, inverse in blocks[start:stop]:
-                out[at:at + inverse.size] = predictions[tile:tile + values.size][inverse]
-                tile += values.size
-                at += inverse.size
-            start = stop
-        return out.ravel()
+        to it. The vectors are concatenated in `features` order. This is the
+        one-tree `GridWalk`: each row of `base` walks the tree once, and only
+        where its path tests j does its grid split."""
+        if self.feature is None:
+            raise ValueError("tree is not fitted")
+        walk = GridWalk(base, features, grids)
+        return walk.arrange(next(walk([self])))
 
     def validate(self) -> None:
         check_trees([self], 1)
@@ -206,18 +180,138 @@ class TreeEnsemble:
 
     def predict_many(self, X: np.ndarray) -> np.ndarray:
         X = np.asarray(X, dtype=np.float64)
-        return self._predict(lambda tree: tree.predict_many(X))
+        return self._predict(tree.predict_many(X) for tree in self.trees_)
 
     def predict_grid(self, base: np.ndarray, features, grids) -> np.ndarray:
-        return self._predict(lambda tree: tree.predict_grid(base, features, grids))
+        """`RegressionTree.predict_grid` of the model: a `GridWalk` over
+        GRID_CHUNK trees at a time, whose vectors are combined in tree order."""
+        walk = GridWalk(base, features, grids)
+        predictions = (row for i in range(0, len(self.trees_), GRID_CHUNK)
+                       for row in walk(self.trees_[i:i + GRID_CHUNK]))
+        # _combine works elementwise, so the walk's layout is arranged once, after it
+        return walk.arrange(self._predict(predictions))
 
-    def _predict(self, predict) -> np.ndarray:
+    def _predict(self, predictions) -> np.ndarray:
         if not self.trees_:
             raise ValueError("model is not fitted")
-        return self._combine(map(predict, self.trees_))
+        return self._combine(predictions)
 
     def validate(self) -> None:
         check_trees(self.trees_, self.n_estimators)
+
+
+class GridWalk:
+    """The tiled predictions of `RegressionTree.predict_grid`, for several trees
+    at once, without tiling: each row of `base` walks each tree once, down its
+    own path. At the first node on that path that tests a requested feature j,
+    a walker for (row, j) starts with the grid-index range [0, G). At a node
+    testing another feature it follows the row; at one testing j its range
+    splits at the grid values <= the threshold, which go left, and a second
+    walker takes the right part. A leaf writes its value to a walker's range,
+    and a (row, j) whose path never tests j has its row's leaf value at every
+    grid point. Every (grid value, row) so reaches the leaf its tiled row
+    reaches, which keeps the bytes of `predict_many`.
+
+    A feature requested twice is walked once, over the union of its grids."""
+
+    def __init__(self, base: np.ndarray, features, grids):
+        self.base = np.asarray(base, dtype=np.float64)
+        features = [int(j) for j in features]
+        grids = [np.asarray(grid, dtype=np.float64) for grid in grids]
+        slots = {j: s for s, j in enumerate(dict.fromkeys(features))}  # distinct, first seen
+        self.features = list(slots)
+        self.grids = [np.unique(np.concatenate([g for f, g in zip(features, grids) if f == j]))
+                      for j in self.features]
+        self.sizes = np.array([grid.size for grid in self.grids], dtype=np.intp)
+        # slot of each feature, -1 if not requested; a leaf's feature -1 reads the last entry
+        self.slot = np.full(self.base.shape[1] + 1, -1, dtype=np.intp)
+        self.slot[self.features] = np.arange(len(self.features))
+        # each request's slot, and where each of its grid values is in the slot's grid
+        self.requests = [(slots[j], np.searchsorted(self.grids[slots[j]], grid))
+                         for j, grid in zip(features, grids)]
+
+    def __call__(self, trees: list[RegressionTree]):
+        """An iterator over `trees` of each tree's vector: slot by slot (the
+        distinct features), each base row's values at the slot's grid."""
+        n, n_slots = self.base.shape[0], len(self.features)
+        counts = [tree.feature.size for tree in trees]
+        roots = np.cumsum([0] + counts[:-1])
+        shift = np.repeat(roots, counts)
+        feature, threshold, value = (np.concatenate([getattr(tree, name) for tree in trees])
+                                     for name in ("feature", "threshold", "value"))
+        left = np.concatenate([tree.left for tree in trees]) + shift
+        right = np.concatenate([tree.right for tree in trees]) + shift
+        slot = self.slot[feature]
+        cut = np.zeros(feature.size, dtype=np.intp)  # grid values below it go left
+        for s, j in enumerate(self.features):
+            tests = feature == j
+            cut[tests] = np.searchsorted(self.grids[s], threshold[tests], "right")
+
+        # The base walk over pairs q = tree * n + row. A walker, and a piece
+        # of the output, is keyed by w = (tree * slots + slot) * n + row.
+        node = np.repeat(roots, n)
+        starts, start_nodes = [np.empty(0, dtype=np.intp)], [np.empty(0, dtype=np.intp)]
+        pairs = np.flatnonzero(feature[node] >= 0)
+        while pairs.size:
+            nodes = node[pairs]
+            tests = slot[nodes] >= 0
+            q = pairs[tests]
+            starts.append((q // n * n_slots + slot[nodes[tests]]) * n + q % n)
+            start_nodes.append(nodes[tests])
+            go_left = self.base[pairs % n, feature[nodes]] <= threshold[nodes]
+            node[pairs] = nodes = np.where(go_left, left[nodes], right[nodes])
+            pairs = pairs[feature[nodes] >= 0]
+        # the first node testing j on a pair's path is its first in walk order
+        w, first = np.unique(np.concatenate(starts), return_index=True)
+        node_w = np.concatenate(start_nodes)[first]
+        lo = np.zeros(w.size, dtype=np.intp)
+        hi = self.sizes[w // n % n_slots]
+
+        # pairs whose path never tests j: their base leaf at every grid index
+        never = np.ones(len(trees) * n_slots * n, dtype=bool)
+        never[w] = False
+        never = np.flatnonzero(never)
+        done = [(never, np.zeros(never.size, dtype=np.intp), self.sizes[never // n % n_slots],
+                 value[node[never // (n_slots * n) * n + never % n]])]
+        while w.size:
+            f = feature[node_w]
+            leaf = f < 0
+            done.append((w[leaf], lo[leaf], hi[leaf], value[node_w[leaf]]))
+            inner = ~leaf
+            w, node_w, lo, hi, f = w[inner], node_w[inner], lo[inner], hi[inner], f[inner]
+            # At a node testing its own feature a walker's grid indices below
+            # the cut go left; elsewhere it goes where its base row goes.
+            c = cut[node_w]
+            own = slot[node_w] == w // n % n_slots
+            go_left = np.where(own, c > lo, self.base[w % n, f] <= threshold[node_w])
+            split = np.flatnonzero(go_left & own & (c < hi))
+            w = np.concatenate([w, w[split]])
+            node_w = np.concatenate([np.where(go_left, left[node_w], right[node_w]),
+                                     right[node_w[split]]])
+            cs = c[split]  # the left part ends, the right part starts, at the cut
+            lo = np.concatenate([lo, cs])
+            hi = np.concatenate([hi, hi[split]])
+            hi[split] = cs
+
+        w, lo, hi, values = (np.concatenate(part) for part in zip(*done))
+        order = np.argsort(w * self.sizes.max(initial=1) + lo)
+        values, lengths = values[order], (hi - lo)[order]
+        # a tree's pieces are consecutive; one tree's vector is made at a time
+        ends = np.cumsum(np.bincount(w // (n_slots * n), minlength=len(trees)))
+        return (np.repeat(values[a:b], lengths[a:b]) for a, b in zip([0, *ends[:-1]], ends))
+
+    def arrange(self, values: np.ndarray) -> np.ndarray:
+        """A vector in the walk's layout as `predict_grid` returns it: request
+        by request, each grid value's block of base rows."""
+        n = self.base.shape[0]
+        ends = np.cumsum(self.sizes * n)
+        out = np.empty(sum(pick.size for _, pick in self.requests) * n)
+        at = 0
+        for s, pick in self.requests:
+            block = values[ends[s] - self.sizes[s] * n:ends[s]].reshape(n, -1)
+            out[at:at + pick.size * n].reshape(pick.size, n)[:] = block.T[pick]
+            at += pick.size * n
+        return out
 
 
 def check_trees(trees: list[RegressionTree], n_trees: int) -> None:

@@ -76,9 +76,11 @@ def member_profiles(model: TrainedModel, ds: Dataset, rows: np.ndarray,
                     features, grids) -> list[np.ndarray]:
     """Profiles of one model, one per feature index of `features` on its grid
     in `grids`: for each grid value, overwrite the feature on every averaging
-    row, predict, and take the mean prediction. A predictor with
-    `predict_grid` (the tree families) returns the predictions of every
-    feature from one call; the others predict one tiled matrix per feature."""
+    row, predict, and take the mean prediction. A grid must be finite and
+    strictly increasing. A predictor with `predict_grid` (the tree families)
+    returns the predictions of every feature from one call, which walks each
+    averaging row down each tree once and splits its grid only where the
+    path tests the feature; the others predict one tiled matrix per feature."""
     rows = np.asarray(rows, dtype=np.intp)
     if rows.size == 0:
         raise ValueError("profile averaging needs at least one row")
@@ -88,8 +90,10 @@ def member_profiles(model: TrainedModel, ds: Dataset, rows: np.ndarray,
             raise ValueError(
                 f"feature index {feature_index} out of range for {ds.n_features} features"
             )
-        if grid.ndim != 1 or grid.size == 0 or np.any(np.diff(grid) <= 0):
-            raise ValueError("grid must be non-empty and strictly increasing")
+        # NaN passes `np.diff(grid) <= 0`, so finiteness is its own test
+        if (grid.ndim != 1 or grid.size == 0 or not np.isfinite(grid).all()
+                or np.any(np.diff(grid) <= 0)):
+            raise ValueError("grid must be non-empty, finite and strictly increasing")
 
     base = ds.features[rows]
     sizes = [grid.size * rows.size for grid in grids]

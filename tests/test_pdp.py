@@ -111,6 +111,15 @@ class TestPdpSingle:
         with pytest.raises(ValueError, match="strictly increasing"):
             pdp_single(model, tiny_dataset, np.array([0]), 0, np.array([1.0, 1.0]))
 
+    @pytest.mark.parametrize("grid", [[0.1, np.nan, 0.9], [0.1, 0.9, np.inf],
+                                      [-np.inf, 0.1, 0.9]], ids=["nan", "inf", "-inf"])
+    def test_non_finite_grid_rejected(self, tiny_dataset, grid):
+        # each passes the strictly-increasing test: NaN compares false, inf is a real step
+        forest = RandomForestRegression(n_estimators=3, seed=0).fit(tiny_dataset.features,
+                                                                   tiny_dataset.target)
+        with pytest.raises(ValueError, match="finite and strictly increasing"):
+            pdp_single(stub_model(0, 1.0, forest), tiny_dataset, np.arange(4), 0, np.array(grid))
+
 
 class TestRashomonPdp:
     """The Rashomon profile is the pointwise mean of the member profiles."""
@@ -271,31 +280,33 @@ class TestSeveralFeatures:
             for name in ("grid", "curves", "mean", "ci_lo", "ci_hi"):
                 assert getattr(result, name).tobytes() == getattr(one, name).tobytes(), name
 
-    def test_tree_walks_are_shared_and_capped(self, tiny_dataset, monkeypatch):
+    def test_tree_walks_follow_each_row_path(self, tiny_dataset, monkeypatch):
         ds = tiny_dataset
         sp = split(ds, 0.25, seed=2)
         rows = np.asarray(sp.train_indices)
-        forest = RandomForestRegression(n_estimators=6, seed=3).fit(
-            ds.features[rows], ds.target[rows])
+        X = ds.features[rows].copy()
+        X[:, 2] = 0.0  # constant in training, so no tree tests feature 2
+        forest = RandomForestRegression(n_estimators=6, seed=3).fit(X, ds.target[rows])
+        assert all(not (tree.feature == 2).any() for tree in forest.trees_)
         grids = {j: feature_grid(ds, j, 6, rows=sp.train_indices) for j in range(3)}
         base = ds.features[rows]
-        walks = []  # (rows walked, number of columns set away from base)
+        for tree in forest.trees_:  # each row's base leaf at every grid point
+            leaves = np.tile(tree.predict_many(base), grids[2].size)
+            assert tree.predict_grid(base, [2], [grids[2]]).tobytes() == leaves.tobytes()
+        flat = np.full(grids[2].size, forest.predict_many(base).mean())
+
+        calls = []  # rows of every RegressionTree.predict_many call
         predict_many = RegressionTree.predict_many
 
-        def spy(tree, X):
-            differs = (X.reshape(-1, *base.shape) != base).any(axis=(0, 1))
-            walks.append((X.shape[0], np.count_nonzero(differs)))
-            return predict_many(tree, X)
+        def spy(tree, matrix):
+            calls.append(len(matrix))
+            return predict_many(tree, matrix)
 
         monkeypatch.setattr(RegressionTree, "predict_many", spy)
-        rashomon_profile(form_set([stub_model(0, 1.0, forest)], 0.5), ds, sp, grids,
-                         n_boot=10, alpha=0.1, seed=0)
-        cap = max(grid.size for grid in grids.values()) * rows.size
-        assert max(n for n, _ in walks) <= cap
-        assert len(walks) < len(grids) * forest.n_estimators
-        assert max(features for _, features in walks) > 1
-        # the cap splits some tree's features over more than one walk
-        assert len(walks) > forest.n_estimators
+        results = rashomon_profile(form_set([stub_model(0, 1.0, forest)], 0.5), ds, sp, grids,
+                                   n_boot=10, alpha=0.1, seed=0)
+        assert calls == []  # no tiled rows: the grid walk follows each row's own path
+        assert results[2].curves[0].tobytes() == flat.tobytes()
 
 
 def make_result(cs, model_ids=(3, 7), best=0, **changes):

@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from rashpdp.data import Dataset, feature_grid, split
 from rashpdp.learners import GradientBoostingRegression, RandomForestRegression, RegressionTree
+from rashpdp.learners.tree import GRID_CHUNK
 from rashpdp.metrics import coverage_rate, mwci
 from rashpdp.pdp import RashomonPdpResult, bootstrap_bands
 from rashpdp.rashomon import form_set
@@ -157,7 +158,7 @@ def test_coverage_invariant_and_width_scaling_under_affine_maps(curves, seed, a,
     assert mwci(moved) == pytest.approx(a * mwci(base), rel=1e-9, abs=1e-12)
 
 
-# --- tree profiles per threshold interval equal tiled prediction ------------
+# --- the path-sharing grid walk equals tiled prediction ---------------------
 
 # Small integer-valued columns make repeated values and ties with thresholds common.
 levels = st.integers(0, 6).map(float)
@@ -166,7 +167,8 @@ levels = st.integers(0, 6).map(float)
 @st.composite
 def tree_models(draw):
     """A fitted tree-family model, the rows it profiles over and a feature
-    index; the last column is constant, so no tree ever splits on it."""
+    index; the last column is constant, so no tree ever splits on it. An
+    ensemble may hold up to two full grid-walk chunks of trees and a partial one."""
     n, p = draw(st.integers(1, 25)), draw(st.integers(1, 3))
     X = np.asarray(draw(st.lists(st.lists(levels, min_size=p, max_size=p),
                                  min_size=n, max_size=n)))
@@ -177,11 +179,11 @@ def tree_models(draw):
         model = RegressionTree(max_depth=draw(st.integers(1, 5)),
                                min_samples_leaf=draw(st.integers(1, 4))).fit(X, y)
     elif kind == "forest":
-        model = RandomForestRegression(n_estimators=draw(st.integers(1, 4)),
+        model = RandomForestRegression(n_estimators=draw(st.integers(1, 2 * GRID_CHUNK + 1)),
                                        max_features=draw(st.sampled_from(["sqrt", "third"])),
                                        seed=draw(seeds)).fit(X, y)
     else:
-        model = GradientBoostingRegression(n_estimators=draw(st.integers(1, 4)),
+        model = GradientBoostingRegression(n_estimators=draw(st.integers(1, 2 * GRID_CHUNK + 1)),
                                            learning_rate=draw(st.floats(0.05, 1.0)),
                                            max_depth=draw(st.integers(1, 3))).fit(X, y)
     base = X[draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=8))]
@@ -193,10 +195,12 @@ def tree_models(draw):
 def test_predict_grid_equals_tiled_prediction(fitted, data):
     model, base, _ = fitted
     trees = getattr(model, "trees_", [model])
-    features = data.draw(st.lists(st.integers(0, base.shape[1] - 1), min_size=1,
-                                  max_size=base.shape[1], unique=True))
+    constant = base.shape[1] - 1  # no tree tests it
+    features = data.draw(st.lists(st.integers(0, constant), min_size=1,
+                                  max_size=base.shape[1] + 2))  # repeats allowed
+    features.insert(data.draw(st.integers(0, len(features))), constant)
     grids, tiled_predictions = [], []
-    for j in features:
+    for j in features:  # a repeated feature draws a grid of its own
         cuts = np.concatenate([t.threshold[t.feature == j] for t in trees])
         extra = data.draw(st.lists(st.floats(-1.0, 8.0), max_size=6))
         # every threshold itself, values below the smallest and above the largest
