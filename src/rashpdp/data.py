@@ -216,6 +216,19 @@ def split(ds: Dataset, test_fraction: float = DEFAULT_TEST_FRACTION, seed: int =
     )
 
 
+def row_indices(rows, n_rows: int, error: type[Exception] = ValueError) -> np.ndarray:
+    """`rows` as an index vector if it holds at least one index, each an integer
+    in [0, n_rows), else `error`: numpy truncates a float and wraps a negative."""
+    rows = np.asarray(rows)
+    if rows.ndim != 1 or not rows.size or rows.dtype.kind not in "iu":
+        raise error(f"rows must be at least one row index, each an integer; "
+                    f"got {rows.dtype} values of shape {rows.shape}")
+    bad = rows[(rows < 0) | (rows >= n_rows)]
+    if bad.size:
+        raise error(f"row index {bad[0]} out of range for {n_rows} rows")
+    return rows.astype(np.intp)
+
+
 def feature_grid(
     ds: Dataset,
     feature_index: int,
@@ -227,8 +240,8 @@ def feature_grid(
     Quantiles are type-7 (linear interpolation). Columns with fewer distinct
     values than `grid_size` collapse to their distinct values, so the result
     may be shorter than requested; a span too narrow for `grid_size`
-    distinct floats raises DataError. `rows` restricts the computation (the
-    pipeline passes training rows); by default the whole column is used.
+    distinct floats raises DataError. `rows` (row indices) restricts the
+    computation (the pipeline passes training rows); by default the whole column is used.
     """
     if grid_size < 2:
         raise DataError(f"grid_size must be >= 2, got {grid_size}")
@@ -239,7 +252,7 @@ def feature_grid(
         )
     column = ds.features[:, feature_index]
     if rows is not None:
-        column = column[np.asarray(rows, dtype=np.intp)]
+        column = column[row_indices(rows, ds.n_rows, DataError)]
     uniques = np.unique(column)
     if uniques.size < 2:
         raise DataError(

@@ -151,15 +151,14 @@ class RegressionTree:
             rows = rows[self.feature[nodes] >= 0]
         return self.value[idx]
 
-    def predict_grid(self, base: np.ndarray, features, grids) -> np.ndarray:
-        """For each feature j of `features`, with its grid in `grids`:
+    def predict_grid(self, base: np.ndarray, grids: dict[int, np.ndarray]) -> list[np.ndarray]:
+        """For each feature index j of `grids`, with its grid, in `grids` order:
         `predict_many` of `base` tiled once per grid value with column j set
-        to it. The vectors are concatenated in `features` order. This is the
-        one-tree `GridWalk`: each row of `base` walks the tree once, and only
-        where its path tests j does its grid split."""
+        to it. This is the one-tree `GridWalk`: each row of `base` walks the
+        tree once, and only where its path tests j does its grid split."""
         if self.feature is None:
             raise ValueError("tree is not fitted")
-        walk = GridWalk(base, features, grids)
+        walk = GridWalk(base, grids)
         return walk.arrange(next(walk([self])))
 
     def validate(self) -> None:
@@ -182,10 +181,10 @@ class TreeEnsemble:
         X = np.asarray(X, dtype=np.float64)
         return self._predict(tree.predict_many(X) for tree in self.trees_)
 
-    def predict_grid(self, base: np.ndarray, features, grids) -> np.ndarray:
+    def predict_grid(self, base: np.ndarray, grids: dict[int, np.ndarray]) -> list[np.ndarray]:
         """`RegressionTree.predict_grid` of the model: a `GridWalk` over
         GRID_CHUNK trees at a time, whose vectors are combined in tree order."""
-        walk = GridWalk(base, features, grids)
+        walk = GridWalk(base, grids)
         predictions = (row for i in range(0, len(self.trees_), GRID_CHUNK)
                        for row in walk(self.trees_[i:i + GRID_CHUNK]))
         # _combine works elementwise, so the walk's layout is arranged once, after it
@@ -203,36 +202,28 @@ class TreeEnsemble:
 class GridWalk:
     """The tiled predictions of `RegressionTree.predict_grid`, for several trees
     at once, without tiling: each row of `base` walks each tree once, down its
-    own path. At the first node on that path that tests a requested feature j,
-    a walker for (row, j) starts with the grid-index range [0, G). At a node
-    testing another feature it follows the row; at one testing j its range
-    splits at the grid values <= the threshold, which go left, and a second
-    walker takes the right part. A leaf writes its value to a walker's range,
-    and a (row, j) whose path never tests j has its row's leaf value at every
-    grid point. Every (grid value, row) so reaches the leaf its tiled row
-    reaches, which keeps the bytes of `predict_many`.
+    own path. At the first node on that path that tests a feature j of
+    `grids`, a walker for (row, j) starts with the grid-index range [0, G). At
+    a node testing another feature it follows the row; at one testing j its
+    range splits at the grid values <= the threshold, which go left, and a
+    second walker takes the right part. A leaf writes its value to a walker's
+    range; a (row, j) whose path never tests j starts at its row's leaf, so it
+    has that leaf's value at every grid point. Every (grid value, row) so
+    reaches the leaf its tiled row reaches, which keeps the bytes of
+    `predict_many`."""
 
-    A feature requested twice is walked once, over the union of its grids."""
-
-    def __init__(self, base: np.ndarray, features, grids):
+    def __init__(self, base: np.ndarray, grids: dict[int, np.ndarray]):
         self.base = np.asarray(base, dtype=np.float64)
-        features = [int(j) for j in features]
-        grids = [np.asarray(grid, dtype=np.float64) for grid in grids]
-        slots = {j: s for s, j in enumerate(dict.fromkeys(features))}  # distinct, first seen
-        self.features = list(slots)
-        self.grids = [np.unique(np.concatenate([g for f, g in zip(features, grids) if f == j]))
-                      for j in self.features]
+        self.features = [int(j) for j in grids]
+        self.grids = [np.asarray(grid, dtype=np.float64) for grid in grids.values()]
         self.sizes = np.array([grid.size for grid in self.grids], dtype=np.intp)
-        # slot of each feature, -1 if not requested; a leaf's feature -1 reads the last entry
+        # slot of each feature, -1 if not in `grids`; a leaf's feature -1 reads the last entry
         self.slot = np.full(self.base.shape[1] + 1, -1, dtype=np.intp)
         self.slot[self.features] = np.arange(len(self.features))
-        # each request's slot, and where each of its grid values is in the slot's grid
-        self.requests = [(slots[j], np.searchsorted(self.grids[slots[j]], grid))
-                         for j, grid in zip(features, grids)]
 
     def __call__(self, trees: list[RegressionTree]):
         """An iterator over `trees` of each tree's vector: slot by slot (the
-        distinct features), each base row's values at the slot's grid."""
+        features of `grids`), each base row's values at the slot's grid."""
         n, n_slots = self.base.shape[0], len(self.features)
         counts = [tree.feature.size for tree in trees]
         roots = np.cumsum([0] + counts[:-1])
@@ -248,31 +239,26 @@ class GridWalk:
             cut[tests] = np.searchsorted(self.grids[s], threshold[tests], "right")
 
         # The base walk over pairs q = tree * n + row. A walker, and a piece
-        # of the output, is keyed by w = (tree * slots + slot) * n + row.
+        # of the output, is keyed by w = (tree * slots + slot) * n + row; it
+        # starts at the first node on its pair's path that tests its feature.
         node = np.repeat(roots, n)
-        starts, start_nodes = [np.empty(0, dtype=np.intp)], [np.empty(0, dtype=np.intp)]
+        start = np.full(len(trees) * n_slots * n, -1, dtype=np.intp)
         pairs = np.flatnonzero(feature[node] >= 0)
         while pairs.size:
             nodes = node[pairs]
             tests = slot[nodes] >= 0
-            q = pairs[tests]
-            starts.append((q // n * n_slots + slot[nodes[tests]]) * n + q % n)
-            start_nodes.append(nodes[tests])
+            q, tested = pairs[tests], nodes[tests]
+            w = (q // n * n_slots + slot[tested]) * n + q % n  # distinct within a level
+            first = start[w] < 0
+            start[w[first]] = tested[first]
             go_left = self.base[pairs % n, feature[nodes]] <= threshold[nodes]
             node[pairs] = nodes = np.where(go_left, left[nodes], right[nodes])
             pairs = pairs[feature[nodes] >= 0]
-        # the first node testing j on a pair's path is its first in walk order
-        w, first = np.unique(np.concatenate(starts), return_index=True)
-        node_w = np.concatenate(start_nodes)[first]
-        lo = np.zeros(w.size, dtype=np.intp)
-        hi = self.sizes[w // n % n_slots]
+        w = np.arange(start.size)  # a walker never testing its feature starts at its leaf
+        node_w = np.where(start < 0, node[w // (n_slots * n) * n + w % n], start)
+        lo, hi = np.zeros(w.size, dtype=np.intp), self.sizes[w // n % n_slots]
 
-        # pairs whose path never tests j: their base leaf at every grid index
-        never = np.ones(len(trees) * n_slots * n, dtype=bool)
-        never[w] = False
-        never = np.flatnonzero(never)
-        done = [(never, np.zeros(never.size, dtype=np.intp), self.sizes[never // n % n_slots],
-                 value[node[never // (n_slots * n) * n + never % n]])]
+        done = [(w[:0], lo[:0], hi[:0], value[:0])]  # so a walk without walkers has a piece
         while w.size:
             f = feature[node_w]
             leaf = f < 0
@@ -300,18 +286,14 @@ class GridWalk:
         ends = np.cumsum(np.bincount(w // (n_slots * n), minlength=len(trees)))
         return (np.repeat(values[a:b], lengths[a:b]) for a, b in zip([0, *ends[:-1]], ends))
 
-    def arrange(self, values: np.ndarray) -> np.ndarray:
-        """A vector in the walk's layout as `predict_grid` returns it: request
-        by request, each grid value's block of base rows."""
+    def arrange(self, values: np.ndarray) -> list[np.ndarray]:
+        """A vector in the walk's layout as `predict_grid` returns it: one
+        vector per feature, each grid value's block of base rows. Each is a
+        contiguous copy, so a grid value's rows are summed in row order."""
         n = self.base.shape[0]
         ends = np.cumsum(self.sizes * n)
-        out = np.empty(sum(pick.size for _, pick in self.requests) * n)
-        at = 0
-        for s, pick in self.requests:
-            block = values[ends[s] - self.sizes[s] * n:ends[s]].reshape(n, -1)
-            out[at:at + pick.size * n].reshape(pick.size, n)[:] = block.T[pick]
-            at += pick.size * n
-        return out
+        return [values[end - size * n:end].reshape(n, size).T.ravel()
+                for size, end in zip(self.sizes, ends)]
 
 
 def check_trees(trees: list[RegressionTree], n_trees: int) -> None:

@@ -13,8 +13,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import Dataset, Split
-from .learners.pool import TrainedModel, checked_predictions, predict_batch
+from .data import Dataset, Split, row_indices
+from .learners.pool import TrainedModel, checked_predictions
 from .rashomon import RashomonSet
 from .seeding import ROLE_BOOTSTRAP, ROLE_PDP_ROWS, derive_seed
 
@@ -73,19 +73,18 @@ class RashomonPdpResult:
 
 
 def member_profiles(model: TrainedModel, ds: Dataset, rows: np.ndarray,
-                    features, grids) -> list[np.ndarray]:
-    """Profiles of one model, one per feature index of `features` on its grid
-    in `grids`: for each grid value, overwrite the feature on every averaging
-    row, predict, and take the mean prediction. A grid must be finite and
-    strictly increasing. A predictor with `predict_grid` (the tree families)
-    returns the predictions of every feature from one call, which walks each
-    averaging row down each tree once and splits its grid only where the
-    path tests the feature; the others predict one tiled matrix per feature."""
-    rows = np.asarray(rows, dtype=np.intp)
-    if rows.size == 0:
-        raise ValueError("profile averaging needs at least one row")
-    grids = [np.asarray(grid, dtype=np.float64) for grid in grids]
-    for feature_index, grid in zip(features, grids, strict=True):
+                    grids: dict[int, np.ndarray]) -> list[np.ndarray]:
+    """Profiles of one model, one per feature index keyed in `grids` (feature
+    index -> its grid), in `grids` order: for each grid value, overwrite the
+    feature on every averaging row, predict, and take the mean prediction.
+    `rows` are at least one integer row index of `ds`, and a grid must be
+    finite and strictly increasing. A predictor with `predict_grid` (the tree
+    families) returns one vector per feature from one call, which walks each
+    averaging row down each tree once and splits a feature's grid only where
+    the path tests it; the others predict one tiled matrix per feature."""
+    rows = row_indices(rows, ds.n_rows)
+    grids = {j: np.asarray(grid, dtype=np.float64) for j, grid in grids.items()}
+    for feature_index, grid in grids.items():
         if not 0 <= feature_index < ds.n_features:
             raise ValueError(
                 f"feature index {feature_index} out of range for {ds.n_features} features"
@@ -96,25 +95,23 @@ def member_profiles(model: TrainedModel, ds: Dataset, rows: np.ndarray,
             raise ValueError("grid must be non-empty, finite and strictly increasing")
 
     base = ds.features[rows]
-    sizes = [grid.size * rows.size for grid in grids]
     predict_grid = getattr(model.predictor, "predict_grid", None)
-    if predict_grid is not None:  # exactly predict_batch on the tiled rows below
-        predictions = np.split(checked_predictions(model, predict_grid(base, features, grids),
-                                                   sum(sizes)), np.cumsum(sizes)[:-1])
+    if predict_grid is not None:  # exactly predict_many of the tiled rows below
+        predictions = predict_grid(base, grids)
     else:
         predictions = []
-        for feature_index, grid in zip(features, grids):
+        for feature_index, grid in grids.items():
             tiled = np.tile(base, (grid.size, 1))
             tiled[:, feature_index] = np.repeat(grid, rows.size)
-            predictions.append(predict_batch(model, tiled))
-    return [p.reshape(grid.size, rows.size).mean(axis=1)
-            for p, grid in zip(predictions, grids)]
+            predictions.append(model.predictor.predict_many(tiled))
+    return [checked_predictions(model, p, grid.size * rows.size).reshape(grid.size, -1).mean(axis=1)
+            for p, grid in zip(predictions, grids.values(), strict=True)]
 
 
 def pdp_single(model: TrainedModel, ds: Dataset, rows: np.ndarray,
                feature_index: int, grid: np.ndarray) -> np.ndarray:
     """Profile of one model on one feature: `member_profiles` of that feature."""
-    return member_profiles(model, ds, rows, [feature_index], [grid])[0]
+    return member_profiles(model, ds, rows, {feature_index: grid})[0]
 
 
 def _percentile_band(replicate_means: np.ndarray, alpha: float) -> tuple[np.ndarray, np.ndarray]:
@@ -166,12 +163,11 @@ def rashomon_profile(rset: RashomonSet, ds: Dataset, sp: Split,
         rng = np.random.default_rng(derive_seed(seed, ROLE_PDP_ROWS))
         rows = np.sort(rng.choice(rows, size=MAX_PDP_ROWS, replace=False))
 
-    features = list(grids)
     members = sorted(rset.members, key=lambda m: m.id)
-    profiles = [member_profiles(model, ds, rows, features, grids.values()) for model in members]
+    profiles = [member_profiles(model, ds, rows, grids) for model in members]
     model_ids = tuple(m.id for m in members)
     results = []
-    for feature_index, member_curves in zip(features, zip(*profiles)):
+    for feature_index, member_curves in zip(grids, zip(*profiles)):
         curves = np.array(member_curves)
         ci_lo, ci_hi = bootstrap_bands(curves, n_boot, alpha,
                                        derive_seed(seed, ROLE_BOOTSTRAP))

@@ -299,6 +299,13 @@ def run_dataset(cfg: RunConfig, load_pool_path: str | None = None,
         if stems.setdefault(stem, name) != name:
             raise ConfigError(f"dataset '{ds.name}': features '{stems[stem]}' and '{name}' "
                               f"both write profile_{stem}.csv and profile_{stem}.svg")
+    if save_pool_path is not None:  # the archive must not replace the data or an output
+        outputs = ["metrics.json", "config.echo", "summary.csv"]
+        outputs += [f"profile_{stem}.{ext}" for stem in stems for ext in ("csv", "svg")]
+        for path in [cfg.data_path] + [os.path.join(cfg.out_dir, name) for name in outputs]:
+            if os.path.realpath(path) == os.path.realpath(save_pool_path):
+                raise ConfigError(f"dataset '{ds.name}': the pool archive {save_pool_path} "
+                                  f"would overwrite {path}")
 
     sp = split(ds, cfg.test_fraction, derive_seed(cfg.seed, ROLE_SPLIT))
     # The grids need only the training rows: a feature without a grid span

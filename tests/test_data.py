@@ -187,6 +187,19 @@ class TestFeatureGrid:
         grid = feature_grid(ds, 0, 5, rows=tuple(range(101)))
         np.testing.assert_allclose(grid, [1.0, 25.5, 50.0, 74.5, 99.0])
 
+    @pytest.mark.parametrize("rows, message", [
+        ((-1, 0, 1), "row index -1 out of range"), ((0, 1, 102), "row index 102 out of range"),
+        ((0.5, 1.5, 2.5), "each an integer"), ((), "at least one row"),
+    ], ids=["negative", "too-large", "fractions", "empty"])
+    def test_rows_that_are_not_row_indices_rejected(self, rows, message):
+        # each used to give a grid: over the last row, over truncated rows, or
+        # "constant" for no rows at all
+        col = np.concatenate([np.arange(101.0), [1e6]])
+        ds = Dataset("r", np.column_stack([col, np.arange(102.0)]),
+                     ("x", "pad"), np.zeros(102), "y")
+        with pytest.raises(DataError, match=message):
+            feature_grid(ds, 0, 5, rows=rows)
+
     def test_strictly_increasing_and_bounded(self, tiny_dataset):
         grid = feature_grid(tiny_dataset, 1, 20)
         assert np.all(np.diff(grid) > 0)

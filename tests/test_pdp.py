@@ -14,6 +14,7 @@ from rashpdp.learners import RandomForestRegression, RegressionTree, SearchBudge
 from rashpdp.pdp import (
     RashomonPdpResult,
     bootstrap_bands,
+    member_profiles,
     pdp_single,
     rashomon_profile,
     write_profile_csv,
@@ -84,22 +85,48 @@ class TestPdpSingle:
         np.testing.assert_array_equal(c1, [5.0, 5.0, 5.0])
 
     @pytest.mark.parametrize("grid_output, message", [
-        (lambda size: np.full(size, np.nan), "non-finite predictions"),
-        (lambda size: np.zeros(size - 1), "predictor returned shape"),
-    ], ids=["nan", "short"])
+        (lambda sizes: [np.full(size, np.nan) for size in sizes], "non-finite predictions"),
+        (lambda sizes: [np.zeros(size - 1) for size in sizes], "predictor returned shape"),
+        (lambda sizes: [np.zeros(size) for size in sizes[:-1]], "longer than argument 1"),
+    ], ids=["nan", "short", "one-vector-too-few"])
     def test_predict_grid_output_is_checked(self, tiny_dataset, grid_output, message):
         class GridPredictor(ConstantPredictor):
-            def predict_grid(self, base, features, grids):
-                return grid_output(sum(len(grid) for grid in grids) * len(base))
+            def predict_grid(self, base, grids):
+                return grid_output([len(grid) * len(base) for grid in grids.values()])
 
         model = stub_model(0, 1.0, GridPredictor(0.0))
+        grids = {0: np.array([0.0, 1.0]), 2: np.array([0.5, 1.5, 2.5])}
         with pytest.raises(ValueError, match=message):
-            pdp_single(model, tiny_dataset, np.arange(4), 0, np.array([0.0, 1.0]))
+            member_profiles(model, tiny_dataset, np.arange(4), grids)
 
     def test_empty_rows_rejected(self, tiny_dataset):
         model = stub_model(0, 1.0)
         with pytest.raises(ValueError, match="at least one row"):
             pdp_single(model, tiny_dataset, np.array([], dtype=int), 0, np.array([0.0, 1.0]))
+
+    @pytest.mark.parametrize("rows, message", [
+        ([-1], "row index -1 out of range"), ([0, 40], "row index 40 out of range"),
+        ([1.7], "each an integer"), ([1.0, 2.0], "each an integer"),
+        ([True, False], "each an integer"), ([], "at least one row"),
+        ([[0, 1]], "at least one row"),
+    ], ids=["negative", "too-large", "fraction", "whole-float", "bool", "empty", "2-d"])
+    @pytest.mark.parametrize("tree", [False, True], ids=["tiled", "grid-walk"])
+    def test_rows_that_are_not_row_indices_rejected(self, tiny_dataset, rows, message, tree):
+        # -1 used to profile the last row, and 1.7 row 1
+        predictor = (RegressionTree(max_depth=2).fit(tiny_dataset.features, tiny_dataset.target)
+                     if tree else LinearPredictor([1.0, 0.0, 0.0], 0.0))
+        with pytest.raises(ValueError, match=message):
+            pdp_single(stub_model(0, 1.0, predictor), tiny_dataset, rows, 0,
+                       np.array([0.0, 1.0]))
+
+    def test_no_features_give_no_profiles(self, tiny_dataset):
+        rows = np.arange(tiny_dataset.n_rows)
+        forest = RandomForestRegression(n_estimators=3, seed=0).fit(tiny_dataset.features,
+                                                                   tiny_dataset.target)
+        for predictor in (ConstantPredictor(1.0), forest.trees_[0], forest):
+            assert member_profiles(stub_model(0, 1.0, predictor), tiny_dataset, rows, {}) == []
+        rset = form_set([stub_model(0, 1.0, forest), stub_model(1, 1.0)], 0.5)
+        assert rashomon_profile(rset, tiny_dataset, split(tiny_dataset, 0.25, seed=2), {}) == []
 
     def test_feature_index_out_of_range(self, tiny_dataset):
         model = stub_model(0, 1.0)
@@ -292,7 +319,7 @@ class TestSeveralFeatures:
         base = ds.features[rows]
         for tree in forest.trees_:  # each row's base leaf at every grid point
             leaves = np.tile(tree.predict_many(base), grids[2].size)
-            assert tree.predict_grid(base, [2], [grids[2]]).tobytes() == leaves.tobytes()
+            assert tree.predict_grid(base, {2: grids[2]})[0].tobytes() == leaves.tobytes()
         flat = np.full(grids[2].size, forest.predict_many(base).mean())
 
         calls = []  # rows of every RegressionTree.predict_many call

@@ -196,11 +196,10 @@ def test_predict_grid_equals_tiled_prediction(fitted, data):
     model, base, _ = fitted
     trees = getattr(model, "trees_", [model])
     constant = base.shape[1] - 1  # no tree tests it
-    features = data.draw(st.lists(st.integers(0, constant), min_size=1,
-                                  max_size=base.shape[1] + 2))  # repeats allowed
+    features = data.draw(st.lists(st.integers(0, constant - 1), max_size=constant, unique=True))
     features.insert(data.draw(st.integers(0, len(features))), constant)
-    grids, tiled_predictions = [], []
-    for j in features:  # a repeated feature draws a grid of its own
+    grids, tiled_predictions = {}, []
+    for j in features:
         cuts = np.concatenate([t.threshold[t.feature == j] for t in trees])
         extra = data.draw(st.lists(st.floats(-1.0, 8.0), max_size=6))
         # every threshold itself, values below the smallest and above the largest
@@ -209,10 +208,10 @@ def test_predict_grid_equals_tiled_prediction(fitted, data):
             grid = grid[[len(grid) // 2]]
         tiled = np.tile(base, (grid.size, 1))
         tiled[:, j] = np.repeat(grid, base.shape[0])
-        grids.append(grid)
+        grids[j] = grid
         tiled_predictions.append(model.predict_many(tiled))
-    expected = np.concatenate(tiled_predictions)
-    assert model.predict_grid(base, features, grids).tobytes() == expected.tobytes()
+    predictions = model.predict_grid(base, grids)
+    assert [p.tobytes() for p in predictions] == [p.tobytes() for p in tiled_predictions]
 
 
 def _walk(tree, x):

@@ -504,6 +504,24 @@ class TestCli:
         assert ((tmp_path / "loaded" / "profile_x1.csv").read_bytes()
                 == (tmp_path / "out" / "profile_x1.csv").read_bytes())
 
+    @pytest.mark.parametrize("target", ["data", "metrics.json", "config.echo", "summary.csv",
+                                        "profile_x1.csv", "profile_x1.svg"])
+    def test_archive_over_the_data_or_an_output_exit_one(self, linear_csv, tmp_path, capsys,
+                                                         target):
+        with open(linear_csv, "rb") as fh:
+            before = fh.read()
+        data = tmp_path / "d.csv"
+        data.write_bytes(before)
+        out = tmp_path / "out"
+        archive = data if target == "data" else out / target
+        code = main(["explain", "--data", str(data), "--target", "y", "--feature", "x1",
+                     "--max-models", "2", "--bootstrap", "20", "--grid", "4",
+                     "--save-pool", str(archive), "--out", str(out)])
+        assert code == 1
+        assert f"the pool archive {archive} would overwrite" in capsys.readouterr().err
+        assert data.read_bytes() == before
+        assert not out.exists()
+
     @pytest.fixture(scope="class")
     def seed_42_archive(self, linear_csv, tmp_path_factory):
         """A two-model pool saved by `explain` on linear_csv at --seed 42."""
