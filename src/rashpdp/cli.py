@@ -87,7 +87,7 @@ def _read_suite_configs(path: str) -> list[RunConfig]:
         raise ConfigError(f"no such suite file: {path}")
     base = os.path.dirname(os.path.abspath(path))
     configs = []
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8-sig") as fh:
         for line in fh:
             text = line.strip()
             if not text or text.startswith("#"):

@@ -132,7 +132,7 @@ def load_csv(path: str | os.PathLike[str], target_column: str, name: str | None 
     path = os.fspath(path)
     if not os.path.isfile(path):
         raise DataError(f"no such file: {path}")
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)

@@ -13,8 +13,11 @@ class KNearestNeighborsRegression:
     """Neighbor averaging with uniform or inverse-distance weights.
 
     Features are standardized with training statistics before distance
-    computation. Queries that coincide exactly with training rows average
-    the zero-distance rows under inverse-distance weighting.
+    computation. A prediction is sum(w * y) / sum(w) over the query's
+    min(n_neighbors, training rows) nearest rows, with w = 1 (uniform) or
+    1/distance; a query at distance 0 from some neighbours weighs just those,
+    by 1. Distances come from a BLAS product per chunk of _QUERY_CHUNK
+    queries, whose rounding depends on the chunk's shape.
     """
 
     FITTED = dict(center_=np.float64, scale_=np.float64, train_z_=np.float64, train_y_=np.float64)
@@ -52,27 +55,18 @@ class KNearestNeighborsRegression:
                 zq @ self.train_z_.T * -2.0 + train_sq + np.sum(zq * zq, axis=1)[:, None],
                 0.0,
             )
-            if k < d2.shape[1]:
+            if k < d2.shape[1]:  # with every row a neighbour, argpartition would reorder the sum
                 nearest = np.argpartition(d2, k - 1, axis=1)[:, :k]
+                d2 = np.take_along_axis(d2, nearest, axis=1)
             else:
-                nearest = np.broadcast_to(np.arange(d2.shape[1]), (d2.shape[0], d2.shape[1]))
-            rows = np.arange(d2.shape[0])[:, None]
-            nd2 = d2[rows, nearest]
-            ny = self.train_y_[nearest]
-            if self.weights == "uniform":
-                out[start:start + zq.shape[0]] = ny.mean(axis=1)
-            else:
-                zero = nd2 <= 0.0
-                has_zero = zero.any(axis=1)
-                w = np.zeros_like(nd2)
-                np.divide(1.0, np.sqrt(nd2), out=w, where=~zero)
-                pred = np.empty(zq.shape[0])
-                nz = ~has_zero
-                pred[nz] = (w[nz] * ny[nz]).sum(axis=1) / w[nz].sum(axis=1)
-                if has_zero.any():
-                    zcount = zero[has_zero].sum(axis=1)
-                    pred[has_zero] = (ny[has_zero] * zero[has_zero]).sum(axis=1) / zcount
-                out[start:start + zq.shape[0]] = pred
+                nearest = np.arange(d2.shape[1])
+            w = np.ones_like(d2)
+            if self.weights == "inverse_distance":
+                zero = d2 <= 0.0
+                np.divide(1.0, np.sqrt(d2), out=w, where=~zero)
+                exact = zero.any(axis=1)
+                w[exact] = zero[exact]
+            out[start:start + len(zq)] = (w * self.train_y_[nearest]).sum(axis=1) / w.sum(axis=1)
         return out
 
     def validate(self) -> None:

@@ -26,14 +26,14 @@ K_NEAREST_NEIGHBORS = "KNearestNeighbors"
 @dataclass(frozen=True)
 class Family:
     """One searched model family. `sample(rng)` draws its hyperparameters, in
-    an order that is part of the pool's seed contract; `build(hp, n_train,
-    fit_seed)` returns the unfitted model; `archive.from_state(model_class,
-    state)` restores an archived one."""
+    an order that is part of the pool's seed contract; `build(hp, fit_seed)`
+    returns the unfitted model, made from exactly those values;
+    `archive.from_state(model_class, state)` restores an archived one."""
 
     name: str
     model_class: type
     sample: Callable[[np.random.Generator], dict[str, Any]]
-    build: Callable[[dict[str, Any], int, int], Any]
+    build: Callable[[dict[str, Any], int], Any]
 
 
 # Training cycles through families in this fixed order, so any pool of five
@@ -41,25 +41,24 @@ class Family:
 REGISTRY = {family.name: family for family in (
     Family(LINEAR_RIDGE, RidgeRegression,
            lambda rng: {"alpha": float(10.0 ** rng.uniform(-6.0, 1.0))},
-           lambda hp, n_train, fit_seed: RidgeRegression(**hp)),
+           lambda hp, fit_seed: RidgeRegression(**hp)),
     Family(DECISION_TREE, RegressionTree,
            lambda rng: {"max_depth": int(rng.integers(2, 13)),
                         "min_samples_leaf": int(rng.integers(1, 21))},
-           lambda hp, n_train, fit_seed: RegressionTree(**hp)),
+           lambda hp, fit_seed: RegressionTree(**hp)),
     Family(RANDOM_FOREST, RandomForestRegression,
            lambda rng: {"n_estimators": int(rng.integers(50, 301)),
                         "max_features": str(rng.choice(["sqrt", "third"]))},
-           lambda hp, n_train, fit_seed: RandomForestRegression(**hp, seed=fit_seed)),
+           lambda hp, fit_seed: RandomForestRegression(**hp, seed=fit_seed)),
     Family(GRADIENT_BOOSTING, GradientBoostingRegression,
            lambda rng: {"n_estimators": int(rng.integers(50, 501)),
                         "learning_rate": float(rng.uniform(0.01, 0.3)),
                         "max_depth": int(rng.integers(2, 7))},
-           lambda hp, n_train, fit_seed: GradientBoostingRegression(**hp)),
+           lambda hp, fit_seed: GradientBoostingRegression(**hp)),
     Family(K_NEAREST_NEIGHBORS, KNearestNeighborsRegression,
            lambda rng: {"n_neighbors": int(rng.integers(3, 26)),
                         "weights": str(rng.choice(["uniform", "inverse_distance"]))},
-           lambda hp, n_train, fit_seed: KNearestNeighborsRegression(
-               n_neighbors=min(hp["n_neighbors"], n_train), weights=hp["weights"])),
+           lambda hp, fit_seed: KNearestNeighborsRegression(**hp)),
 )}
 FAMILIES = tuple(REGISTRY)
 
@@ -175,7 +174,7 @@ def train_pool(ds: Dataset, sp: Split, budget: SearchBudget,
         rng = np.random.default_rng(np.random.SeedSequence(budget.seed, spawn_key=(i,)))
         hp = family.sample(rng)
         fit_seed = int(rng.integers(0, 2**63))
-        model = family.build(hp, X_train.shape[0], fit_seed)
+        model = family.build(hp, fit_seed)
         ranges = [None]
         if isinstance(model, RandomForestRegression):
             ranges = [range(t, min(t + FOREST_UNIT_TREES, model.n_estimators))

@@ -126,7 +126,7 @@ def parse_config_file(path: str | os.PathLike[str]) -> dict[str, str]:
     if not os.path.isfile(path):
         raise ConfigError(f"no such config file: {path}")
     values: dict[str, str] = {}
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8-sig") as fh:
         for lineno, line in enumerate(fh, start=1):
             text = line.strip()
             if not text or text.startswith("#"):
@@ -214,7 +214,7 @@ def read_summary_csv(path: str | os.PathLike[str]) -> list[SuiteSummaryRow]:
     path = os.fspath(path)
     if not os.path.isfile(path):
         raise DataError(f"no such file: {path}")
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
         reader = csv.reader(fh)
         try:
             header = tuple(h.strip() for h in next(reader))
@@ -282,6 +282,10 @@ def run_dataset(cfg: RunConfig, load_pool_path: str | None = None,
     number of processes that train the pool, changes none of them.
     """
     cfg.validate()
+    if os.path.exists(cfg.out_dir) and not os.path.isdir(cfg.out_dir):
+        raise ConfigError(f"output directory {cfg.out_dir} is a file")
+    if save_pool_path is not None and os.path.isdir(save_pool_path):
+        raise ConfigError(f"pool archive {save_pool_path} is a directory")
     try:
         ds = load_csv(cfg.data_path, cfg.target_column)
     except DataError as exc:
@@ -410,6 +414,8 @@ def run_suite(configs: list[RunConfig], out_dir: str, workers: int = 1):
             raise ConfigError(f"suite entry {position} ('{cfg.data_path}'): {exc}") from None
         if not os.path.isfile(cfg.data_path):
             raise DataError(f"suite entry {position}: no such file: {cfg.data_path}")
+        if os.path.exists(sub_dir) and not os.path.isdir(sub_dir):
+            raise ConfigError(f"suite entry {position}: output directory {sub_dir} is a file")
         key = os.path.abspath(sub_dir)
         if key == os.path.abspath(out_dir):
             raise ConfigError(f"suite dataset '{cfg.data_path}' writes to {sub_dir}, "

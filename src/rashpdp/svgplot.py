@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import math
 import os
-from xml.sax.saxutils import escape
+from html import escape
 
 from .pdp import RashomonPdpResult
 
@@ -102,7 +102,7 @@ def emit_svg(result: RashomonPdpResult, path: str | os.PathLike[str], *,
     out.append(f'<rect x="0" y="0" width="{WIDTH}" height="{HEIGHT}" fill="#ffffff"/>')
     out.append(
         f'<text x="{WIDTH / 2:.0f}" y="24" text-anchor="middle" font-size="15" '
-        f'fill="#222222">{escape(title)}</text>'
+        f'fill="#222222">{escape(title, quote=False)}</text>'
     )
 
     # axes frame and ticks
@@ -120,7 +120,7 @@ def emit_svg(result: RashomonPdpResult, path: str | os.PathLike[str], *,
         )
         out.append(
             f'<text x="{_fmt_px(x)}" y="{MARGIN_TOP + plot_h + 19}" text-anchor="middle" '
-            f'font-size="11" fill="#333333">{escape(_fmt_tick(t))}</text>'
+            f'font-size="11" fill="#333333">{escape(_fmt_tick(t), quote=False)}</text>'
         )
     for t in _nice_ticks(y_min, y_max):
         if not y_min <= t <= y_max:
@@ -132,16 +132,16 @@ def emit_svg(result: RashomonPdpResult, path: str | os.PathLike[str], *,
         )
         out.append(
             f'<text x="{MARGIN_LEFT - 9}" y="{_fmt_px(y + 4)}" text-anchor="end" '
-            f'font-size="11" fill="#333333">{escape(_fmt_tick(t))}</text>'
+            f'font-size="11" fill="#333333">{escape(_fmt_tick(t), quote=False)}</text>'
         )
     out.append(
         f'<text x="{MARGIN_LEFT + plot_w / 2:.0f}" y="{HEIGHT - 14}" text-anchor="middle" '
-        f'font-size="13" fill="#222222">{escape(feature)}</text>'
+        f'font-size="13" fill="#222222">{escape(feature, quote=False)}</text>'
     )
     out.append(
         f'<text x="20" y="{MARGIN_TOP + plot_h / 2:.0f}" text-anchor="middle" font-size="13" '
         f'fill="#222222" transform="rotate(-90 20 {MARGIN_TOP + plot_h / 2:.0f})">'
-        f'{escape(target_name)}</text>'
+        f'{escape(target_name, quote=False)}</text>'
     )
 
     # confidence band (degenerates to a zero-height polygon for singletons)
@@ -194,7 +194,7 @@ def emit_svg(result: RashomonPdpResult, path: str | os.PathLike[str], *,
             )
         out.append(
             f'<text x="{lx + 28}" y="{yy + 2}" font-size="11" fill="#333333">'
-            f'{escape(label)}</text>'
+            f'{escape(label, quote=False)}</text>'
         )
     out.append("</svg>")
 

@@ -7,6 +7,7 @@ import pytest
 
 from rashpdp.data import Dataset
 from rashpdp.learners import TrainedModel
+from rashpdp.learners.knn import _QUERY_CHUNK
 
 
 class ConstantPredictor:
@@ -149,3 +150,42 @@ def fit_per_node(tree, X, y, rng=None):
     tree.right = np.asarray(right, dtype=np.intp)
     tree.value = np.asarray(value, dtype=np.float64)
     return tree
+
+
+def knn_predict_reference(model, X):
+    """The `KNearestNeighborsRegression.predict_many` that one weighted mean
+    replaced, kept as its oracle: uniform weights take `mean`, and
+    inverse-distance queries with and without a zero distance are averaged
+    apart."""
+    X = np.asarray(X, dtype=np.float64)
+    k = min(model.n_neighbors, model.train_z_.shape[0])
+    out = np.empty(X.shape[0], dtype=np.float64)
+    train_sq = np.sum(model.train_z_ * model.train_z_, axis=1)
+    for start in range(0, X.shape[0], _QUERY_CHUNK):
+        zq = (X[start:start + _QUERY_CHUNK] - model.center_) / model.scale_
+        d2 = np.maximum(
+            zq @ model.train_z_.T * -2.0 + train_sq + np.sum(zq * zq, axis=1)[:, None],
+            0.0,
+        )
+        if k < d2.shape[1]:
+            nearest = np.argpartition(d2, k - 1, axis=1)[:, :k]
+        else:
+            nearest = np.broadcast_to(np.arange(d2.shape[1]), (d2.shape[0], d2.shape[1]))
+        rows = np.arange(d2.shape[0])[:, None]
+        nd2 = d2[rows, nearest]
+        ny = model.train_y_[nearest]
+        if model.weights == "uniform":
+            out[start:start + zq.shape[0]] = ny.mean(axis=1)
+        else:
+            zero = nd2 <= 0.0
+            has_zero = zero.any(axis=1)
+            w = np.zeros_like(nd2)
+            np.divide(1.0, np.sqrt(nd2), out=w, where=~zero)
+            pred = np.empty(zq.shape[0])
+            nz = ~has_zero
+            pred[nz] = (w[nz] * ny[nz]).sum(axis=1) / w[nz].sum(axis=1)
+            if has_zero.any():
+                zcount = zero[has_zero].sum(axis=1)
+                pred[has_zero] = (ny[has_zero] * zero[has_zero]).sum(axis=1) / zcount
+            out[start:start + zq.shape[0]] = pred
+    return out

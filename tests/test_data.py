@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import codecs
+
 import numpy as np
 import pytest
 
-from rashpdp.data import Dataset, feature_grid, load_csv, save_csv, split
+from rashpdp.data import Dataset, Split, feature_grid, load_csv, save_csv, split
 from rashpdp.errors import DataError
 
 
@@ -77,6 +79,18 @@ class TestLoadCsv:
         with pytest.raises(DataError, match="duplicate"):
             load_csv(path, "y")
 
+    @pytest.mark.parametrize("text", ["y,a\n1,2\n3,4\n", "a,y\n2,1\n4,3\n"],
+                             ids=["target first", "feature first"])
+    def test_byte_order_mark_is_not_part_of_the_first_name(self, tmp_path, text):
+        # as a spreadsheet's "CSV UTF-8" export writes it
+        plain = load_csv(write(tmp_path, text), "y", name="d")
+        marked_path = tmp_path / "marked.csv"
+        marked_path.write_bytes(codecs.BOM_UTF8 + text.encode("utf-8"))
+        marked = load_csv(marked_path, "y", name="d")
+        assert (marked.feature_names, marked.target_name) == (("a",), "y")
+        assert marked.features.tobytes() == plain.features.tobytes()
+        assert marked.target.tobytes() == plain.target.tobytes()
+
     def test_round_trip_is_identity(self, tmp_path):
         rng = np.random.default_rng(3)
         ds = Dataset(
@@ -135,6 +149,16 @@ class TestSplit:
         all_idx = sorted(sp.train_indices + sp.test_indices)
         assert all_idx == list(range(tiny_dataset.n_rows))
         assert not set(sp.train_indices) & set(sp.test_indices)
+
+    @pytest.mark.parametrize("train, test, message", [
+        ((), (0, 1), "must both be non-empty"),
+        ((0, 0), (1,), "contain duplicates"),
+        ((0, 1), (1,), "overlap"),
+        ((0, 2), (3,), "must cover 0..n-1 exactly"),
+    ], ids=["empty side", "duplicates", "overlap", "gap"])
+    def test_invalid_indices_rejected(self, train, test, message):
+        with pytest.raises(DataError, match=message):
+            Split(train, test)
 
 
 class TestFeatureGrid:

@@ -174,6 +174,16 @@ class TestRegressionTree:
         assert tree.value.tolist() == [0.5]
 
 
+@pytest.mark.parametrize("weights", ["uniform", "inverse_distance"])
+def test_knn_neighbour_count_above_the_training_rows_is_clamped(weights):
+    rng = np.random.default_rng(5)
+    X, y = rng.normal(size=(9, 2)), rng.normal(size=9)
+    queries = np.vstack([rng.normal(size=(20, 2)), X[:3]])  # X[:3] at distance 0
+    above = KNearestNeighborsRegression(25, weights).fit(X, y)
+    equal = KNearestNeighborsRegression(9, weights).fit(X, y)
+    assert above.predict_many(queries).tobytes() == equal.predict_many(queries).tobytes()
+
+
 class TestRandomForest:
     def test_tree_ranges_join_to_the_whole_forest(self):
         X = np.random.default_rng(4).normal(size=(50, 4))
@@ -222,6 +232,17 @@ class TestTrainPool:
         sp = split(tiny_dataset, 0.25, seed=1)
         pool = train_pool(tiny_dataset, sp, SearchBudget(max_models=5, seed=2))
         assert {m.family for m in pool} == set(FAMILIES)
+
+    def test_knn_is_built_with_its_drawn_neighbour_count(self):
+        # 6 training rows, fewer than most draws from 3..25: k-NN clamps when
+        # it predicts, so the archived state matches metrics.json
+        ds = make_linear(n_rows=8, seed=1)
+        sp = split(ds, 0.25, seed=1)
+        pool = train_pool(ds, sp, SearchBudget(max_models=10, max_runtime_secs=math.inf, seed=0))
+        knn = [m for m in pool if m.family == "KNearestNeighbors"]
+        assert [m.predictor.n_neighbors for m in knn] == [m.hyperparameters["n_neighbors"]
+                                                         for m in knn]
+        assert max(m.predictor.n_neighbors for m in knn) > len(sp.train_indices)
 
     def test_twenty_models_on_synthetic_data(self):
         ds = make_friedman(n_rows=500, noise=1.0, seed=3)

@@ -157,10 +157,12 @@ class TestSpearman:
         assert spearman(xs, ys**3).rho == pytest.approx(base, abs=1e-12)
 
 
-def test_importing_the_cli_leaves_scipy_stats_unloaded():
-    # scipy.stats would be most of the start-up cost of every run.
+# scipy.stats would be most of the start-up cost of every run, and
+# urllib.request (which xml.sax.saxutils imports) about a sixth of it.
+@pytest.mark.parametrize("module", ["scipy.stats", "urllib.request"])
+def test_importing_the_cli_leaves_module_unloaded(module):
     src = os.path.dirname(os.path.dirname(os.path.abspath(rashpdp.__file__)))
-    probe = "import sys, rashpdp.cli; print('scipy.stats' in sys.modules)"
+    probe = f"import sys, rashpdp.cli; print({module!r} in sys.modules)"
     result = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
                             env=dict(os.environ, PYTHONPATH=src), check=True)
     assert result.stdout.strip() == "False"

@@ -9,13 +9,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from rashpdp.data import Dataset, feature_grid, split
-from rashpdp.learners import GradientBoostingRegression, RandomForestRegression, RegressionTree
+from rashpdp.learners import (GradientBoostingRegression, KNearestNeighborsRegression,
+                              RandomForestRegression, RegressionTree)
+from rashpdp.learners.knn import _QUERY_CHUNK
 from rashpdp.learners.tree import GRID_CHUNK
 from rashpdp.metrics import coverage_rate, mwci
 from rashpdp.pdp import RashomonPdpResult, bootstrap_bands
 from rashpdp.rashomon import form_set
 
-from conftest import fit_per_node, stub_pool
+from conftest import fit_per_node, knn_predict_reference, stub_pool
 
 COMMON = settings(max_examples=100, deadline=None)
 
@@ -275,6 +277,35 @@ def test_presorted_fit_equals_per_node_grower(case):
     for name in RegressionTree.FITTED:
         assert getattr(grown, name).tobytes() == getattr(oracle, name).tobytes(), name
     assert rng.random() == oracle_rng.random()
+
+
+@st.composite
+def knn_fits(draw):
+    """A fitted k-NN model and its queries: either weighting, data rounded to
+    one decimal (repeated rows, and queries at distance 0 from one or more
+    training rows), `n_neighbors` up to above the training rows, and at times
+    more queries than one chunk."""
+    rng = np.random.default_rng(draw(seeds))
+    n, p = draw(st.integers(1, 40)), draw(st.integers(1, 3))
+    X = rng.normal(size=(n, p))
+    queries = rng.normal(size=(draw(st.sampled_from([1, 37, _QUERY_CHUNK + 301])), p))
+    if draw(st.booleans()):
+        X = np.round(X, 1)
+        hits = rng.random(queries.shape[0]) < 0.5
+        queries[hits] = X[rng.integers(0, n, hits.sum())]
+        queries = np.round(queries, 1)
+    model = KNearestNeighborsRegression(
+        n_neighbors=draw(st.integers(1, n + 3)),
+        weights=draw(st.sampled_from(["uniform", "inverse_distance"])),
+    )
+    return model.fit(X, rng.normal(size=n)), queries
+
+
+@COMMON
+@given(case=knn_fits())
+def test_knn_weighted_mean_equals_reference(case):
+    model, queries = case
+    assert model.predict_many(queries).tobytes() == knn_predict_reference(model, queries).tobytes()
 
 
 # --- supporting invariants ----------------------------------------------------

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import codecs
 import importlib.resources
 import json
 import math
@@ -13,7 +14,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from rashpdp.cli import main
+from rashpdp.cli import _read_suite_configs, main
 from rashpdp.data import load_csv, save_csv, split
 from rashpdp.errors import ConfigError, DataError
 from rashpdp.learners import (
@@ -81,6 +82,12 @@ class TestSummaryCsv:
         assert len(undefined) == 6
         assert all(r.rss == 1 for r in undefined)
 
+    def test_byte_order_mark_is_not_part_of_the_header(self, tmp_path):
+        path = tmp_path / "marked.csv"
+        with open(FIXTURE, "rb") as fh:
+            path.write_bytes(codecs.BOM_UTF8 + fh.read())
+        assert read_summary_csv(path) == read_summary_csv(FIXTURE)
+
     def test_bad_header_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("a,b\n1,2\n", encoding="utf-8")
@@ -141,6 +148,13 @@ class TestConfigFiles:
         assert cfg.n_boot == 321
         assert cfg.alpha == 0.2
         assert cfg.seed == 99
+
+    def test_byte_order_mark_is_not_part_of_the_first_key(self, tmp_path):
+        (tmp_path / "run.cfg").write_bytes(codecs.BOM_UTF8 + b"data = d.csv\ntarget = y\n")
+        assert parse_config_file(tmp_path / "run.cfg") == {"data": "d.csv", "target": "y"}
+        (tmp_path / "suite.txt").write_bytes(codecs.BOM_UTF8 + b"run.cfg\n")
+        (cfg,) = _read_suite_configs(str(tmp_path / "suite.txt"))
+        assert cfg.data_path == str(tmp_path / "d.csv")
 
     def test_empty_features_means_all(self):
         assert config_from_mapping({"features": ""}).features == ()
@@ -677,6 +691,26 @@ class TestCli:
         assert "dataset 'flat_c': feature 'c' is constant" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("make, flags, message", [
+        (lambda path: path.write_text("kept\n", encoding="utf-8"), ["--out", "taken"],
+         "output directory taken is a file"),
+        (lambda path: path.mkdir(), ["--save-pool", "taken", "--out", "o"],
+         "pool archive taken is a directory"),
+    ], ids=["--out a file", "--save-pool a directory"])
+    def test_path_that_cannot_be_written_exit_one_before_training(
+            self, linear_csv, tmp_path, capsys, monkeypatch, make, flags, message):
+        def no_training(*args, **kwargs):
+            raise AssertionError("train_pool was called")
+
+        monkeypatch.setattr("rashpdp.report.train_pool", no_training)
+        monkeypatch.chdir(tmp_path)
+        make(tmp_path / "taken")
+        code = main(["explain", "--data", linear_csv, "--target", "y", *flags])
+        assert code == 1
+        assert message in capsys.readouterr().err
+        assert [p.name for p in tmp_path.iterdir()] == ["taken"]  # no --out made
+        assert (tmp_path / "taken").is_dir() or (tmp_path / "taken").read_text() == "kept\n"
+
     def test_feature_flag_with_comma_exit_one(self, linear_csv, tmp_path, capsys):
         code = main(["explain", "--data", linear_csv, "--target", "y", "--feature", "x1,x2",
                      "--out", str(tmp_path / "o")])
@@ -689,7 +723,9 @@ class TestCli:
         ("data = d1.csv\ntarget = y\nepsilon = 0\n", 1, "epsilon must be finite and > 0, got 0.0"),
         ("data = d1.csv\n", 1, "target must be set, got ''"),
         ("data = absent.csv\ntarget = y\n", 2, "no such file: {configs}/absent.csv"),
-    ], ids=["zero epsilon", "no target", "missing data file"])
+        ("data = d1.csv\ntarget = y\nout = d0.cfg\n", 1,
+         "output directory {configs}/d0.cfg is a file"),
+    ], ids=["zero epsilon", "no target", "missing data file", "output directory a file"])
     def test_suite_checks_every_entry_before_running(self, tmp_path, capsys, second_config,
                                                      code, message):
         configs = tmp_path / "configs"
