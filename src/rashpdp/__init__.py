@@ -13,7 +13,6 @@ from .learners import (
     SearchBudget,
     TrainedModel,
     load_pool,
-    predict_batch,
     rmse,
     save_pool,
     train_pool,
@@ -75,7 +74,6 @@ __all__ = [
     "member_profiles",
     "mwci",
     "pdp_single",
-    "predict_batch",
     "read_summary_csv",
     "rmse",
     "rashomon_profile",

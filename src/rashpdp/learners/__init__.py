@@ -14,7 +14,6 @@ from .pool import (
     RANDOM_FOREST,
     SearchBudget,
     TrainedModel,
-    predict_batch,
     rmse,
     train_pool,
 )
@@ -35,7 +34,6 @@ __all__ = [
     "SearchBudget",
     "TrainedModel",
     "load_pool",
-    "predict_batch",
     "rmse",
     "save_pool",
     "train_pool",

@@ -43,8 +43,7 @@ class GradientBoostingRegression(TreeEnsemble):
                 max_depth=self.max_depth,
                 min_samples_leaf=BOOSTING_MIN_SAMPLES_LEAF,
             )
-            tree.fit(X, residual)
-            pred += self.learning_rate * tree.predict_many(X)
+            pred += self.learning_rate * tree.fit_predict(X, residual)
             self.trees_.append(tree)
         return self
 

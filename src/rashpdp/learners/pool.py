@@ -121,16 +121,6 @@ def holdout_rmse(predictor: Any, ds: Dataset, sp: Split) -> float:
     return rmse(predictor.predict_many(ds.features[test_idx]), ds.target[test_idx])
 
 
-def predict_batch(model: TrainedModel, rows: np.ndarray) -> np.ndarray:
-    """Predict every row; output is finite and matches the row count."""
-    rows = np.asarray(rows, dtype=np.float64)
-    if rows.ndim != 2:
-        raise ValueError(f"rows must be a 2-d matrix, got shape {rows.shape}")
-    if rows.shape[0] == 0:
-        return np.empty(0, dtype=np.float64)
-    return checked_predictions(model, model.predictor.predict_many(rows), rows.shape[0])
-
-
 def checked_predictions(model: TrainedModel, out: Any, n_rows: int) -> np.ndarray:
     """`out` as float64 if it holds n_rows finite predictions of `model`."""
     out = np.asarray(out, dtype=np.float64)

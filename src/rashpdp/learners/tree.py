@@ -1,4 +1,4 @@
-"""CART regression tree with variance-reduction (SSE) splitting."""
+"""CART regression trees with SSE splitting, their ensembles, and the walk that predicts all."""
 
 from __future__ import annotations
 
@@ -9,7 +9,43 @@ import numpy as np
 GRID_CHUNK = 8
 
 
-class RegressionTree:
+class TreeEnsemble:
+    """Regression trees fitted by a subclass's `fit`, predicted and profiled
+    by one `GridWalk`. Its `_combine(predictions)` turns an iterator of each
+    tree's vector, in tree order, into the model's. A `RegressionTree` is the
+    one-tree ensemble of itself."""
+
+    def __init__(self, n_estimators: int):
+        if n_estimators < 1:
+            raise ValueError(f"n_estimators must be >= 1, got {n_estimators}")
+        self.n_estimators = int(n_estimators)
+        self.trees_: list[RegressionTree] = []
+
+    def predict_many(self, X: np.ndarray) -> np.ndarray:
+        """The model's prediction of each row of X: the walk with no profiled feature."""
+        return self._predict(GridWalk(X, {}))
+
+    def predict_grid(self, base: np.ndarray, grids: dict[int, np.ndarray]) -> list[np.ndarray]:
+        """For each feature index j of `grids`, with its grid, in `grids` order:
+        `predict_many` of `base` tiled once per grid value with column j set
+        to it. Each row of `base` walks each tree once, and only where its
+        path tests j does its grid split."""
+        walk = GridWalk(base, grids)
+        # _combine works elementwise, so the walk's layout is arranged once, after it
+        return walk.arrange(self._predict(walk))
+
+    def _predict(self, walk: GridWalk) -> np.ndarray:
+        """`_combine` of the walk's vector of each tree, walked GRID_CHUNK trees at a time."""
+        if not self.trees_:
+            raise ValueError("model is not fitted")
+        return self._combine(vector for i in range(0, len(self.trees_), GRID_CHUNK)
+                             for vector in walk(self.trees_[i:i + GRID_CHUNK]))
+
+    def validate(self) -> None:
+        check_trees(self.trees_, self.n_estimators)
+
+
+class RegressionTree(TreeEnsemble):
     """Binary regression tree stored in flat arrays.
 
     Splits minimize the summed squared error of the two children, which is
@@ -19,10 +55,12 @@ class RegressionTree:
     for a given feature-candidate sequence. Each feature is sorted once per
     tree and a split's children inherit their sorted rows, which grows the
     same trees, byte for byte, as sorting every feature at every node.
+    A tree is the one-tree `TreeEnsemble` of itself.
     """
 
     FITTED = dict(feature=np.intp, threshold=np.float64, left=np.intp, right=np.intp,
                   value=np.float64)
+    n_estimators = 1
 
     def __init__(self, max_depth: int = 12, min_samples_leaf: int = 1,
                  max_features: int | None = None):
@@ -41,9 +79,21 @@ class RegressionTree:
         self.right: np.ndarray | None = None
         self.value: np.ndarray | None = None
 
+    @property
+    def trees_(self) -> list[RegressionTree]:
+        return [] if self.feature is None else [self]
+
     def fit(self, X: np.ndarray, y: np.ndarray,
-            rng: np.random.Generator | None = None) -> "RegressionTree":
+            rng: np.random.Generator | None = None) -> RegressionTree:
         """Grow the tree on (X, y); `rng` drives per-node feature subsampling."""
+        self.fit_predict(X, y, rng)
+        return self
+
+    def fit_predict(self, X: np.ndarray, y: np.ndarray,
+                    rng: np.random.Generator | None = None) -> np.ndarray:
+        """Grow the tree as `fit` does and return `predict_many(X)` without
+        walking X: each node writes its mean to its rows, and its children,
+        grown after it, overwrite it, so a row ends with its leaf's value."""
         X = np.asarray(X, dtype=np.float64)
         y = np.asarray(y, dtype=np.float64)
         n, p = X.shape
@@ -69,12 +119,13 @@ class RegressionTree:
         # gives the stable sort of its own rows: no node sorts again.
         root = new_node()
         go = np.zeros(n, dtype=bool)
+        fitted = np.empty(n, dtype=np.float64)
         stack = [(root, np.arange(n, dtype=np.intp), np.argsort(X.T, axis=1, kind="stable"), 0)]
         while stack:
             node, rows, order, depth = stack.pop()
             ys = y[rows]
             mean = ys.mean()
-            value[node] = float(mean)
+            value[node] = fitted[rows] = float(mean)
             if depth >= self.max_depth or rows.size < 2 * self.min_samples_leaf:
                 continue
             node_sse = float(np.sum((ys - mean) ** 2))
@@ -136,71 +187,18 @@ class RegressionTree:
         self.left = np.asarray(left, dtype=np.intp)
         self.right = np.asarray(right, dtype=np.intp)
         self.value = np.asarray(value, dtype=np.float64)
-        return self
+        return fitted
 
-    def predict_many(self, X: np.ndarray) -> np.ndarray:
-        if self.feature is None:
-            raise ValueError("tree is not fitted")
-        X = np.asarray(X, dtype=np.float64)
-        idx = np.zeros(X.shape[0], dtype=np.intp)
-        rows = np.flatnonzero(self.feature[idx] >= 0)  # the rows not yet at a leaf
-        while rows.size:
-            nodes = idx[rows]
-            go_left = X[rows, self.feature[nodes]] <= self.threshold[nodes]
-            idx[rows] = nodes = np.where(go_left, self.left[nodes], self.right[nodes])
-            rows = rows[self.feature[nodes] >= 0]
-        return self.value[idx]
-
-    def predict_grid(self, base: np.ndarray, grids: dict[int, np.ndarray]) -> list[np.ndarray]:
-        """For each feature index j of `grids`, with its grid, in `grids` order:
-        `predict_many` of `base` tiled once per grid value with column j set
-        to it. This is the one-tree `GridWalk`: each row of `base` walks the
-        tree once, and only where its path tests j does its grid split."""
-        if self.feature is None:
-            raise ValueError("tree is not fitted")
-        walk = GridWalk(base, grids)
-        return walk.arrange(next(walk([self])))
-
-    def validate(self) -> None:
-        check_trees([self], 1)
+    def _combine(self, predictions) -> np.ndarray:
+        (vector,) = predictions
+        return vector
 
 
-class TreeEnsemble:
-    """Regression trees fitted by a subclass's `fit`. Its `_combine(predictions)`
-    turns an iterator of each tree's predictions, in tree order, into the model's."""
-
-    FITTED = dict(trees_=RegressionTree)
-
-    def __init__(self, n_estimators: int):
-        if n_estimators < 1:
-            raise ValueError(f"n_estimators must be >= 1, got {n_estimators}")
-        self.n_estimators = int(n_estimators)
-        self.trees_: list[RegressionTree] = []
-
-    def predict_many(self, X: np.ndarray) -> np.ndarray:
-        X = np.asarray(X, dtype=np.float64)
-        return self._predict(tree.predict_many(X) for tree in self.trees_)
-
-    def predict_grid(self, base: np.ndarray, grids: dict[int, np.ndarray]) -> list[np.ndarray]:
-        """`RegressionTree.predict_grid` of the model: a `GridWalk` over
-        GRID_CHUNK trees at a time, whose vectors are combined in tree order."""
-        walk = GridWalk(base, grids)
-        predictions = (row for i in range(0, len(self.trees_), GRID_CHUNK)
-                       for row in walk(self.trees_[i:i + GRID_CHUNK]))
-        # _combine works elementwise, so the walk's layout is arranged once, after it
-        return walk.arrange(self._predict(predictions))
-
-    def _predict(self, predictions) -> np.ndarray:
-        if not self.trees_:
-            raise ValueError("model is not fitted")
-        return self._combine(predictions)
-
-    def validate(self) -> None:
-        check_trees(self.trees_, self.n_estimators)
+TreeEnsemble.FITTED = dict(trees_=RegressionTree)
 
 
 class GridWalk:
-    """The tiled predictions of `RegressionTree.predict_grid`, for several trees
+    """The tiled predictions of `TreeEnsemble.predict_grid`, for several trees
     at once, without tiling: each row of `base` walks each tree once, down its
     own path. At the first node on that path that tests a feature j of
     `grids`, a walker for (row, j) starts with the grid-index range [0, G). At
@@ -209,22 +207,26 @@ class GridWalk:
     second walker takes the right part. A leaf writes its value to a walker's
     range; a (row, j) whose path never tests j starts at its row's leaf, so it
     has that leaf's value at every grid point. Every (grid value, row) so
-    reaches the leaf its tiled row reaches, which keeps the bytes of
-    `predict_many`."""
+    reaches the leaf its tiled row reaches.
+
+    After the slots of `grids` comes one slot with a one-point grid that no
+    node tests, so each tree's vector ends with each row's own leaf value:
+    `GridWalk(X, {})` is plain prediction of X, the walk with no profiled
+    feature, and `arrange` drops that slot."""
 
     def __init__(self, base: np.ndarray, grids: dict[int, np.ndarray]):
         self.base = np.asarray(base, dtype=np.float64)
         self.features = [int(j) for j in grids]
         self.grids = [np.asarray(grid, dtype=np.float64) for grid in grids.values()]
-        self.sizes = np.array([grid.size for grid in self.grids], dtype=np.intp)
+        self.sizes = np.array([grid.size for grid in self.grids] + [1], dtype=np.intp)
         # slot of each feature, -1 if not in `grids`; a leaf's feature -1 reads the last entry
         self.slot = np.full(self.base.shape[1] + 1, -1, dtype=np.intp)
         self.slot[self.features] = np.arange(len(self.features))
 
     def __call__(self, trees: list[RegressionTree]):
         """An iterator over `trees` of each tree's vector: slot by slot (the
-        features of `grids`), each base row's values at the slot's grid."""
-        n, n_slots = self.base.shape[0], len(self.features)
+        features of `grids`, then the leaf), each base row's values at its grid."""
+        n, n_slots = self.base.shape[0], self.sizes.size
         counts = [tree.feature.size for tree in trees]
         roots = np.cumsum([0] + counts[:-1])
         shift = np.repeat(roots, counts)
@@ -280,20 +282,20 @@ class GridWalk:
             hi[split] = cs
 
         w, lo, hi, values = (np.concatenate(part) for part in zip(*done))
-        order = np.argsort(w * self.sizes.max(initial=1) + lo)
+        order = np.argsort(w * self.sizes.max() + lo)
         values, lengths = values[order], (hi - lo)[order]
         # a tree's pieces are consecutive; one tree's vector is made at a time
         ends = np.cumsum(np.bincount(w // (n_slots * n), minlength=len(trees)))
         return (np.repeat(values[a:b], lengths[a:b]) for a, b in zip([0, *ends[:-1]], ends))
 
     def arrange(self, values: np.ndarray) -> list[np.ndarray]:
-        """A vector in the walk's layout as `predict_grid` returns it: one
-        vector per feature, each grid value's block of base rows. Each is a
+        """A vector in the walk's layout as `predict_grid` returns it: one vector
+        per feature of `grids`, each grid value's block of base rows. Each is a
         contiguous copy, so a grid value's rows are summed in row order."""
         n = self.base.shape[0]
         ends = np.cumsum(self.sizes * n)
         return [values[end - size * n:end].reshape(n, size).T.ravel()
-                for size, end in zip(self.sizes, ends)]
+                for size, end in zip(self.sizes[:-1], ends)]
 
 
 def check_trees(trees: list[RegressionTree], n_trees: int) -> None:

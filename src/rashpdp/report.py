@@ -266,6 +266,17 @@ def _safe_filename(name: str) -> str:
     return re.sub(r"[^A-Za-z0-9_.-]+", "_", name)
 
 
+def _require_directory(path: str, what: str) -> None:
+    """Raise ConfigError naming `what` unless the nearest existing one of `path`
+    and its ancestors is a directory, so makedirs can make `path`. Creates nothing."""
+    probe = os.path.abspath(path)
+    while not os.path.exists(probe):
+        probe = os.path.dirname(probe)
+    if not os.path.isdir(probe):
+        raise ConfigError(f"{what} is a file" if probe == os.path.abspath(path)
+                          else f"{what} is under the file {probe}")
+
+
 def _write_json(payload: dict[str, Any], path: str) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True, allow_nan=False)
@@ -282,10 +293,12 @@ def run_dataset(cfg: RunConfig, load_pool_path: str | None = None,
     number of processes that train the pool, changes none of them.
     """
     cfg.validate()
-    if os.path.exists(cfg.out_dir) and not os.path.isdir(cfg.out_dir):
-        raise ConfigError(f"output directory {cfg.out_dir} is a file")
-    if save_pool_path is not None and os.path.isdir(save_pool_path):
-        raise ConfigError(f"pool archive {save_pool_path} is a directory")
+    _require_directory(cfg.out_dir, f"output directory {cfg.out_dir}")
+    if save_pool_path is not None:
+        if os.path.isdir(save_pool_path):
+            raise ConfigError(f"pool archive {save_pool_path} is a directory")
+        _require_directory(os.path.dirname(os.path.abspath(save_pool_path)),
+                           f"the directory of pool archive {save_pool_path}")
     try:
         ds = load_csv(cfg.data_path, cfg.target_column)
     except DataError as exc:
@@ -414,8 +427,7 @@ def run_suite(configs: list[RunConfig], out_dir: str, workers: int = 1):
             raise ConfigError(f"suite entry {position} ('{cfg.data_path}'): {exc}") from None
         if not os.path.isfile(cfg.data_path):
             raise DataError(f"suite entry {position}: no such file: {cfg.data_path}")
-        if os.path.exists(sub_dir) and not os.path.isdir(sub_dir):
-            raise ConfigError(f"suite entry {position}: output directory {sub_dir} is a file")
+        _require_directory(sub_dir, f"suite entry {position}: output directory {sub_dir}")
         key = os.path.abspath(sub_dir)
         if key == os.path.abspath(out_dir):
             raise ConfigError(f"suite dataset '{cfg.data_path}' writes to {sub_dir}, "

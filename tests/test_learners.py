@@ -1,4 +1,4 @@
-"""Model zoo: scoring, batch prediction, pool training, serialization."""
+"""Model zoo: scoring, prediction, pool training, serialization."""
 
 from __future__ import annotations
 
@@ -22,14 +22,12 @@ from rashpdp.learners import (
     RidgeRegression,
     SearchBudget,
     load_pool,
-    predict_batch,
     rmse,
     save_pool,
     train_pool,
 )
+from rashpdp.learners.tree import TreeEnsemble
 from rashpdp.synthetic import make_friedman, make_linear
-
-from conftest import stub_model, ConstantPredictor
 
 
 class TestRmse:
@@ -51,28 +49,6 @@ class TestRmse:
     def test_empty_vectors(self):
         with pytest.raises(ValueError, match="empty"):
             rmse(np.array([]), np.array([]))
-
-
-class TestPredictBatch:
-    def test_empty_matrix_gives_empty_vector(self):
-        model = stub_model(0, 1.0)
-        out = predict_batch(model, np.empty((0, 3)))
-        assert out.shape == (0,)
-
-    def test_duplicated_row_duplicates_prediction(self):
-        model = stub_model(0, 1.0, ConstantPredictor(4.25))
-        rows = np.array([[1.0, 2.0], [1.0, 2.0]])
-        out = predict_batch(model, rows)
-        assert out[0] == out[1] == 4.25
-
-    def test_one_d_input_rejected(self):
-        with pytest.raises(ValueError, match="2-d"):
-            predict_batch(stub_model(0, 1.0), np.array([1.0, 2.0]))
-
-    def test_non_finite_output_rejected(self):
-        model = stub_model(0, 1.0, ConstantPredictor(float("nan")))
-        with pytest.raises(ValueError, match="non-finite"):
-            predict_batch(model, np.ones((2, 2)))
 
 
 def _constant_target_dataset(c: float) -> tuple[np.ndarray, np.ndarray]:
@@ -120,6 +96,23 @@ def test_tree_family_predictions_stay_within_target_range(make_model):
     preds = model.predict_many(queries)
     assert preds.min() >= y.min() - 1e-12
     assert preds.max() <= y.max() + 1e-12
+
+
+@pytest.mark.parametrize("make_model", [
+    lambda: RidgeRegression(alpha=0.5),
+    lambda: RegressionTree(),
+    lambda: RandomForestRegression(n_estimators=3),
+    lambda: GradientBoostingRegression(n_estimators=3),
+    lambda: KNearestNeighborsRegression(n_neighbors=3),
+], ids=["ridge", "tree", "forest", "boosting", "knn"])
+def test_unfitted_model_refuses_to_predict(make_model):
+    model = make_model()
+    X = np.zeros((4, 3))
+    with pytest.raises(ValueError, match="not fitted"):
+        model.predict_many(X)
+    if isinstance(model, TreeEnsemble):  # the three tree families
+        with pytest.raises(ValueError, match="not fitted"):
+            model.predict_grid(X, {0: np.array([0.0, 1.0])})
 
 
 class TestRegressionTree:
@@ -341,7 +334,8 @@ class TestTrainPool:
         pool = train_pool(tiny_dataset, sp, SearchBudget(max_models=5, seed=5))
         row = tiny_dataset.features[:1]
         for m in pool:
-            assert predict_batch(m, row) == predict_batch(m, row)
+            first = m.predictor.predict_many(row)
+            assert m.predictor.predict_many(row).tobytes() == first.tobytes()
 
 
 @pytest.fixture(scope="module")

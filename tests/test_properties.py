@@ -192,11 +192,27 @@ def tree_models(draw):
     return model, base, draw(st.integers(0, p))
 
 
+def _walk(tree, x):
+    """One row's prediction by following the node arrays from the root."""
+    node = 0
+    while tree.feature[node] >= 0:
+        go_left = x[tree.feature[node]] <= tree.threshold[node]
+        node = tree.left[node] if go_left else tree.right[node]
+    return tree.value[node]
+
+
+def _walked(model, rows):
+    """The model's prediction of `rows` from the per-row oracle: each tree's
+    `_walk` of every row, combined as the model combines its trees."""
+    return model._combine(np.array([_walk(tree, x) for x in rows], dtype=np.float64)
+                          for tree in model.trees_)
+
+
 @COMMON
 @given(fitted=tree_models(), data=st.data())
 def test_predict_grid_equals_tiled_prediction(fitted, data):
     model, base, _ = fitted
-    trees = getattr(model, "trees_", [model])
+    trees = model.trees_
     constant = base.shape[1] - 1  # no tree tests it
     features = data.draw(st.lists(st.integers(0, constant - 1), max_size=constant, unique=True))
     features.insert(data.draw(st.integers(0, len(features))), constant)
@@ -211,18 +227,9 @@ def test_predict_grid_equals_tiled_prediction(fitted, data):
         tiled = np.tile(base, (grid.size, 1))
         tiled[:, j] = np.repeat(grid, base.shape[0])
         grids[j] = grid
-        tiled_predictions.append(model.predict_many(tiled))
+        tiled_predictions.append(_walked(model, tiled))
     predictions = model.predict_grid(base, grids)
     assert [p.tobytes() for p in predictions] == [p.tobytes() for p in tiled_predictions]
-
-
-def _walk(tree, x):
-    """One row's prediction by following the node arrays from the root."""
-    node = 0
-    while tree.feature[node] >= 0:
-        go_left = x[tree.feature[node]] <= tree.threshold[node]
-        node = tree.left[node] if go_left else tree.right[node]
-    return tree.value[node]
 
 
 @COMMON
@@ -232,7 +239,7 @@ def test_predict_many_equals_per_row_walk(fitted, values):
     one_leaf = RegressionTree().fit(base, np.zeros(len(base)))
     X = np.tile(base, (len(values), 1))  # no rows when values is empty
     X[:, j] = np.repeat(values, base.shape[0])
-    for tree in [*getattr(model, "trees_", [model]), one_leaf]:
+    for tree in [*model.trees_, one_leaf]:
         for rows in (base, X, base[:0]):
             walked = np.array([_walk(tree, x) for x in rows], dtype=np.float64)
             assert tree.predict_many(rows).tobytes() == walked.tobytes()
@@ -277,6 +284,17 @@ def test_presorted_fit_equals_per_node_grower(case):
     for name in RegressionTree.FITTED:
         assert getattr(grown, name).tobytes() == getattr(oracle, name).tobytes(), name
     assert rng.random() == oracle_rng.random()
+
+
+@COMMON
+@given(case=tree_fits(), adjacent=st.booleans())
+def test_fit_predict_equals_predict_many_of_the_grown_tree(case, adjacent):
+    tree, X, y, seed = case
+    if adjacent:  # x in {a, b} whose midpoint rounds up to b: a split there bails out
+        a = np.nextafter(1.0, 2.0)
+        X[:, 0] = np.where(X[:, 0] % 2 == 0, a, np.nextafter(a, 2.0))
+    fitted = tree.fit_predict(X, y, np.random.default_rng(seed))
+    assert fitted.tobytes() == tree.predict_many(X).tobytes()
 
 
 @st.composite

@@ -696,7 +696,13 @@ class TestCli:
          "output directory taken is a file"),
         (lambda path: path.mkdir(), ["--save-pool", "taken", "--out", "o"],
          "pool archive taken is a directory"),
-    ], ids=["--out a file", "--save-pool a directory"])
+        (lambda path: path.write_text("kept\n", encoding="utf-8"), ["--out", "taken/sub"],
+         "output directory taken/sub is under the file "),
+        (lambda path: path.write_text("kept\n", encoding="utf-8"),
+         ["--save-pool", "taken/pool.json", "--out", "o"],
+         "the directory of pool archive taken/pool.json is a file"),
+    ], ids=["--out a file", "--save-pool a directory", "--out under a file",
+            "--save-pool under a file"])
     def test_path_that_cannot_be_written_exit_one_before_training(
             self, linear_csv, tmp_path, capsys, monkeypatch, make, flags, message):
         def no_training(*args, **kwargs):
@@ -725,7 +731,10 @@ class TestCli:
         ("data = absent.csv\ntarget = y\n", 2, "no such file: {configs}/absent.csv"),
         ("data = d1.csv\ntarget = y\nout = d0.cfg\n", 1,
          "output directory {configs}/d0.cfg is a file"),
-    ], ids=["zero epsilon", "no target", "missing data file", "output directory a file"])
+        ("data = d1.csv\ntarget = y\nout = d0.cfg/sub\n", 1,
+         "output directory {configs}/d0.cfg/sub is under the file {configs}/d0.cfg"),
+    ], ids=["zero epsilon", "no target", "missing data file", "output directory a file",
+            "output directory under a file"])
     def test_suite_checks_every_entry_before_running(self, tmp_path, capsys, second_config,
                                                      code, message):
         configs = tmp_path / "configs"
