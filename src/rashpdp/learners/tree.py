@@ -209,23 +209,22 @@ class GridWalk:
     has that leaf's value at every grid point. Every (grid value, row) so
     reaches the leaf its tiled row reaches.
 
-    After the slots of `grids` comes one slot with a one-point grid that no
-    node tests, so each tree's vector ends with each row's own leaf value:
-    `GridWalk(X, {})` is plain prediction of X, the walk with no profiled
-    feature, and `arrange` drops that slot."""
+    With no `grids`, the walk has one slot with a one-point grid that no node
+    tests, so each tree's vector is each row's own leaf value: `GridWalk(X, {})`
+    is plain prediction of X, the walk with no profiled feature."""
 
     def __init__(self, base: np.ndarray, grids: dict[int, np.ndarray]):
         self.base = np.asarray(base, dtype=np.float64)
         self.features = [int(j) for j in grids]
         self.grids = [np.asarray(grid, dtype=np.float64) for grid in grids.values()]
-        self.sizes = np.array([grid.size for grid in self.grids] + [1], dtype=np.intp)
+        self.sizes = np.array([grid.size for grid in self.grids] or [1], dtype=np.intp)
         # slot of each feature, -1 if not in `grids`; a leaf's feature -1 reads the last entry
         self.slot = np.full(self.base.shape[1] + 1, -1, dtype=np.intp)
         self.slot[self.features] = np.arange(len(self.features))
 
     def __call__(self, trees: list[RegressionTree]):
         """An iterator over `trees` of each tree's vector: slot by slot (the
-        features of `grids`, then the leaf), each base row's values at its grid."""
+        features of `grids`, or the leaf if none), each base row's values at its grid."""
         n, n_slots = self.base.shape[0], self.sizes.size
         counts = [tree.feature.size for tree in trees]
         roots = np.cumsum([0] + counts[:-1])
@@ -294,8 +293,8 @@ class GridWalk:
         contiguous copy, so a grid value's rows are summed in row order."""
         n = self.base.shape[0]
         ends = np.cumsum(self.sizes * n)
-        return [values[end - size * n:end].reshape(n, size).T.ravel()
-                for size, end in zip(self.sizes[:-1], ends)]
+        return [values[end - grid.size * n:end].reshape(n, grid.size).T.ravel()
+                for grid, end in zip(self.grids, ends)]
 
 
 def check_trees(trees: list[RegressionTree], n_trees: int) -> None:

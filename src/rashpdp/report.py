@@ -283,15 +283,8 @@ def _write_json(payload: dict[str, Any], path: str) -> None:
         fh.write("\n")
 
 
-def run_dataset(cfg: RunConfig, load_pool_path: str | None = None,
-                save_pool_path: str | None = None, workers: int = 1):
-    """Execute the full pipeline for one dataset.
-
-    Writes profile CSV + SVG per feature, metrics.json, config.echo, and a
-    one-row summary.csv into cfg.out_dir; returns (summary row, results by
-    feature name). Output bytes are a pure function of cfg: `workers`, the
-    number of processes that train the pool, changes none of them.
-    """
+def _prepare(cfg: RunConfig, save_pool_path: str | None = None):
+    """A run's checks before training, in `explain`'s order; returns (dataset, split, grids)."""
     cfg.validate()
     _require_directory(cfg.out_dir, f"output directory {cfg.out_dir}")
     if save_pool_path is not None:
@@ -334,6 +327,19 @@ def run_dataset(cfg: RunConfig, load_pool_path: str | None = None,
             grids[j] = feature_grid(ds, j, cfg.grid_size, rows=sp.train_indices)
         except DataError as exc:
             raise DataError(f"dataset '{ds.name}': {exc}") from None
+    return ds, sp, grids
+
+
+def run_dataset(cfg: RunConfig, load_pool_path: str | None = None,
+                save_pool_path: str | None = None, workers: int = 1):
+    """Execute the full pipeline for one dataset.
+
+    Writes profile CSV + SVG per feature, metrics.json, config.echo, and a
+    one-row summary.csv into cfg.out_dir; returns (summary row, results by
+    feature name). Output bytes are a pure function of cfg: `workers`, the
+    number of processes that train the pool, changes none of them.
+    """
+    ds, sp, grids = _prepare(cfg, save_pool_path)
     if load_pool_path is not None:
         pool = load_pool(load_pool_path)
         check_scores(pool, ds, sp, load_pool_path)
@@ -353,7 +359,7 @@ def run_dataset(cfg: RunConfig, load_pool_path: str | None = None,
     profiles = rashomon_profile(rset, ds, sp, grids, n_boot=cfg.n_boot, alpha=cfg.alpha,
                                 seed=cfg.seed)
     os.makedirs(cfg.out_dir, exist_ok=True)
-    results = dict(zip(feature_names, profiles))
+    results = dict(zip((ds.feature_names[j] for j in grids), profiles))
     feature_metrics = {}
     for name, result in results.items():
         feature_metrics[name] = compute_metrics(result)
@@ -410,32 +416,31 @@ def run_dataset(cfg: RunConfig, load_pool_path: str | None = None,
 def run_suite(configs: list[RunConfig], out_dir: str, workers: int = 1):
     """Run several datasets and correlate Rashomon ratio against coverage.
 
+    Before any dataset runs or `out_dir` is created, every entry passes each check
+    `explain` makes before training; an error names the entry's number and data path.
     Emits the suite summary CSV plus suite_report.json; the correlation is
     skipped (with a recorded warning) when fewer than four rows have defined
     metrics. Returns (rows, correlation or None, warnings).
     """
     if not configs:
         raise ConfigError("suite needs at least one dataset configuration")
+    _require_directory(out_dir, f"output directory {out_dir}")
     runs: dict[str, RunConfig] = {}  # absolute output directory -> its run
     for position, cfg in enumerate(configs, start=1):
-        sub_dir = cfg.out_dir or os.path.join(
-            out_dir, _safe_filename(os.path.splitext(os.path.basename(cfg.data_path))[0])
-        )
-        try:
-            replace(cfg, out_dir=sub_dir).validate()
-        except ConfigError as exc:
-            raise ConfigError(f"suite entry {position} ('{cfg.data_path}'): {exc}") from None
-        if not os.path.isfile(cfg.data_path):
-            raise DataError(f"suite entry {position}: no such file: {cfg.data_path}")
-        _require_directory(sub_dir, f"suite entry {position}: output directory {sub_dir}")
-        key = os.path.abspath(sub_dir)
+        run = replace(cfg, out_dir=cfg.out_dir or os.path.join(
+            out_dir, _safe_filename(os.path.splitext(os.path.basename(cfg.data_path))[0])))
+        try:  # the dataset is read again when it runs: one is in memory at a time
+            _prepare(run)
+        except (ConfigError, DataError) as exc:
+            raise type(exc)(f"suite entry {position} ('{cfg.data_path}'): {exc}") from None
+        key = os.path.abspath(run.out_dir)
         if key == os.path.abspath(out_dir):
-            raise ConfigError(f"suite dataset '{cfg.data_path}' writes to {sub_dir}, "
+            raise ConfigError(f"suite dataset '{cfg.data_path}' writes to {run.out_dir}, "
                               f"the suite's own output directory")
         if key in runs:
             raise ConfigError(f"suite datasets '{runs[key].data_path}' and '{cfg.data_path}' "
-                              f"both write to {sub_dir}")
-        runs[key] = replace(cfg, out_dir=sub_dir)
+                              f"both write to {run.out_dir}")
+        runs[key] = run
     os.makedirs(out_dir, exist_ok=True)
     rows = [run_dataset(run, workers=workers)[0] for run in runs.values()]
 
@@ -459,6 +464,7 @@ def run_suite(configs: list[RunConfig], out_dir: str, workers: int = 1):
 def correlate_summary(summary_path: str, out_dir: str) -> CorrelationResult:
     """Analysis-only mode: correlate an existing summary table (for example
     the bundled benchmark fixture) without training anything."""
+    _require_directory(out_dir, f"output directory {out_dir}")
     rows = read_summary_csv(summary_path)
     correlation = correlate_rows(rows)
     os.makedirs(out_dir, exist_ok=True)

@@ -717,6 +717,29 @@ class TestCli:
         assert [p.name for p in tmp_path.iterdir()] == ["taken"]  # no --out made
         assert (tmp_path / "taken").is_dir() or (tmp_path / "taken").read_text() == "kept\n"
 
+    @pytest.mark.parametrize("command", ["correlate", "suite"])
+    @pytest.mark.parametrize("out, message", [
+        ("taken", "output directory taken is a file"),
+        ("taken/sub", "output directory taken/sub is under the file "),
+    ], ids=["--out a file", "--out under a file"])
+    def test_correlate_and_suite_out_that_cannot_be_written_exit_one(
+            self, linear_csv, tmp_path, capsys, monkeypatch, command, out, message):
+        def no_training(*args, **kwargs):
+            raise AssertionError("train_pool was called")
+
+        monkeypatch.setattr("rashpdp.report.train_pool", no_training)
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "taken").write_text("kept\n", encoding="utf-8")
+        # the suite's entry runs into its own `out`, so only the suite's --out is checked
+        (tmp_path / "run.cfg").write_text(f"data = {linear_csv}\ntarget = y\nout = o\n",
+                                          encoding="utf-8")
+        (tmp_path / "suite.txt").write_text("run.cfg\n", encoding="utf-8")
+        flags = ["--summary", FIXTURE] if command == "correlate" else ["--configs", "suite.txt"]
+        assert main([command, *flags, "--out", out]) == 1
+        assert message in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["run.cfg", "suite.txt", "taken"]
+        assert (tmp_path / "taken").read_text() == "kept\n"
+
     def test_feature_flag_with_comma_exit_one(self, linear_csv, tmp_path, capsys):
         code = main(["explain", "--data", linear_csv, "--target", "y", "--feature", "x1,x2",
                      "--out", str(tmp_path / "o")])
@@ -733,8 +756,20 @@ class TestCli:
          "output directory {configs}/d0.cfg is a file"),
         ("data = d1.csv\ntarget = y\nout = d0.cfg/sub\n", 1,
          "output directory {configs}/d0.cfg/sub is under the file {configs}/d0.cfg"),
+        ("data = d1.csv\ntarget = zz\n", 2, "target column 'zz' not found in {configs}/d1.csv"),
+        ("data = d1.csv\ntarget = y\nfeatures = nope\n", 1,
+         "dataset 'd1': unknown feature 'nope'"),
+        ("data = d1.csv\ntarget = y\nfeatures = x1,x1\n", 1,
+         "dataset 'd1': feature 'x1' is named more than once"),
+        ("data = clash.csv\ntarget = y\n", 1,
+         "dataset 'clash': features 'x 1' and 'x_1' both write profile_x_1.csv"),
+        ("data = flat.csv\ntarget = y\n", 2, "dataset 'flat': feature 'c' is constant"),
+        ("data = text.csv\ntarget = y\n", 2,
+         "non-numeric feature column 'a': value 'abc' at data row 3"),
     ], ids=["zero epsilon", "no target", "missing data file", "output directory a file",
-            "output directory under a file"])
+            "output directory under a file", "missing target column", "unknown feature",
+            "feature named twice", "features sharing a file", "constant feature",
+            "non-numeric cell"])
     def test_suite_checks_every_entry_before_running(self, tmp_path, capsys, second_config,
                                                      code, message):
         configs = tmp_path / "configs"
@@ -742,6 +777,11 @@ class TestCli:
         for name in ("d0", "d1"):
             save_csv(make_linear(n_rows=40, noise=0.3, seed=1, name=name),
                      configs / f"{name}.csv")
+        rows = [f"{i},{i % 7},{i % 5}\n" for i in range(40)]
+        for name, header, body in (("clash", "x 1,x_1,y", rows),
+                                   ("flat", "a,c,y", [f"{i},1.0,{i % 5}\n" for i in range(40)]),
+                                   ("text", "a,b,y", rows[:2] + ["abc,1,1\n"] + rows[3:])):
+            (configs / f"{name}.csv").write_text(header + "\n" + "".join(body), encoding="utf-8")
         (configs / "d0.cfg").write_text("data = d0.csv\ntarget = y\n", encoding="utf-8")
         (configs / "d1.cfg").write_text(second_config, encoding="utf-8")
         (configs / "suite.txt").write_text("d0.cfg\nd1.cfg\n", encoding="utf-8")
