@@ -29,8 +29,8 @@ EXIT_CONFIG = 1
 EXIT_DATA = 2
 EXIT_RUNTIME = 3
 
-WORKERS_HELP = ("processes that train the model pool (at least 1); "
-                "outputs are the same bytes for any value")
+WORKERS_HELP = ("processes that train the model pool and profile the Rashomon-set "
+                "members (at least 1); outputs are the same bytes for any value")
 
 
 class _Parser(argparse.ArgumentParser):

@@ -10,6 +10,7 @@ from typing import Any, Callable
 import numpy as np
 
 from ..data import Dataset, Split
+from ..parallel import fork_map
 from .boosting import GradientBoostingRegression
 from .forest import RandomForestRegression
 from .knn import KNearestNeighborsRegression
@@ -137,6 +138,16 @@ def _fit_unit(X: np.ndarray, y: np.ndarray, unit: tuple[Any, range | None]) -> A
     return model.fit(X, y) if trees is None else model.fit_trees(X, y, trees)
 
 
+def _unit_trees(unit: tuple[Any, range | None]) -> int:
+    """Trees a unit grows: boosting stages, a forest range, 1 for a CART."""
+    model, trees = unit
+    if trees is not None:
+        return len(trees)
+    if isinstance(model, GradientBoostingRegression):
+        return model.n_estimators
+    return int(isinstance(model, RegressionTree))
+
+
 def train_pool(ds: Dataset, sp: Split, budget: SearchBudget,
                workers: int = 1) -> list[TrainedModel]:
     """Train up to `budget.max_models` models under the wall-clock cap.
@@ -146,13 +157,12 @@ def train_pool(ds: Dataset, sp: Split, budget: SearchBudget,
     index), so the pool is exactly reproducible apart from the wall-clock
     cutoff. A unit of work is one model, or one range of FOREST_UNIT_TREES
     trees of a forest; with `workers` > 1 the units are fitted in that many
-    forked processes. Results are taken in model order and the clock is
-    checked before each model's, so the pool is the models 0..k-1 taken
-    before the cap, whatever the number of workers. A fit in progress always
-    runs to completion.
+    forked processes (`parallel.fork_map`), handed out by the trees they grow,
+    most first. Results are taken in model order and the clock is checked
+    before each model's, so the pool is the models 0..k-1 taken before the
+    cap, whatever the number of workers. A fit in progress always runs to
+    completion.
     """
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
     train_idx = np.asarray(sp.train_indices, dtype=np.intp)
     X_train = ds.features[train_idx]
     y_train = ds.target[train_idx]
@@ -171,34 +181,15 @@ def train_pool(ds: Dataset, sp: Split, budget: SearchBudget,
                       for t in range(0, model.n_estimators, FOREST_UNIT_TREES)]
         drawn.append((i, family, hp, model, ranges))
     units = [(model, trees) for *_, model, ranges in drawn for trees in ranges]
-    fit_unit = functools.partial(_fit_unit, X_train, y_train)
-
-    executor = None
-    died: tuple[type[BaseException], ...] = ()  # how a lost worker surfaces
-    if workers == 1:
-        results = map(fit_unit, units)
-    else:  # imported here: a run that trains serially or not at all skips them
-        import multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
-        from concurrent.futures.process import BrokenProcessPool
-
-        died = (BrokenProcessPool,)
-        # fork, not spawn: a spawned worker imports numpy and the package again
-        # (about 0.3 s on two cores); the run has no Python thread of its own,
-        # and the executor forks every worker before it starts its thread
-        executor = ProcessPoolExecutor(min(workers, len(units)),
-                                       mp_context=multiprocessing.get_context("fork"))
-        results = executor.map(fit_unit, units)
+    labels = [f"model {i} ({family.name})" for i, family, *_, ranges in drawn for _ in ranges]
 
     pool: list[TrainedModel] = []
-    try:
+    with fork_map(functools.partial(_fit_unit, X_train, y_train), units, workers, labels,
+                  sizes=[_unit_trees(unit) for unit in units]) as results:
         for i, family, hp, model, ranges in drawn:
             if time.monotonic() - started > budget.max_runtime_secs:
                 break
-            try:
-                parts = [next(results) for _ in ranges]
-            except died:
-                raise RuntimeError(f"model {i} ({family.name}): worker process died") from None
+            parts = [next(results) for _ in ranges]
             if isinstance(model, RandomForestRegression):
                 model.trees_ = [tree for part in parts for tree in part]
             else:
@@ -207,9 +198,6 @@ def train_pool(ds: Dataset, sp: Split, budget: SearchBudget,
                 TrainedModel(id=i, family=family.name, hyperparameters=hp,
                              predictor=model, score=holdout_rmse(model, ds, sp))
             )
-    finally:
-        if executor is not None:
-            executor.shutdown(cancel_futures=True)
     if not pool:
         raise RuntimeError(
             f"no model completed within max_runtime_secs={budget.max_runtime_secs}"

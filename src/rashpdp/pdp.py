@@ -8,6 +8,7 @@ taking percentile bands of the resampled means.
 from __future__ import annotations
 
 import csv
+import functools
 import os
 from dataclasses import dataclass, field
 
@@ -15,6 +16,7 @@ import numpy as np
 
 from .data import Dataset, Split, row_indices
 from .learners.pool import TrainedModel, checked_predictions
+from .parallel import fork_map
 from .rashomon import RashomonSet
 from .seeding import ROLE_BOOTSTRAP, ROLE_PDP_ROWS, derive_seed
 
@@ -147,7 +149,8 @@ def bootstrap_bands(curves: np.ndarray, n_boot: int, alpha: float,
 
 def rashomon_profile(rset: RashomonSet, ds: Dataset, sp: Split,
                      grids: dict[int, np.ndarray], n_boot: int = DEFAULT_BOOTSTRAP_COUNT,
-                     alpha: float = DEFAULT_ALPHA, seed: int = 0) -> list[RashomonPdpResult]:
+                     alpha: float = DEFAULT_ALPHA, seed: int = 0,
+                     workers: int = 1) -> list[RashomonPdpResult]:
     """Full pipeline for the features keyed in `grids` (feature index -> its
     grid): member curves, mean and bands, one result per feature in `grids`
     order.
@@ -155,8 +158,11 @@ def rashomon_profile(rset: RashomonSet, ds: Dataset, sp: Split,
     The averaging rows are the training rows, subsampled to MAX_PDP_ROWS
     when larger; subsampling and bootstrap use independent streams derived
     from `seed`, and every feature's band uses the same bootstrap seed. Each
-    member profiles every feature in one `member_profiles` pass; the member
-    curves are in ascending model-id order.
+    member profiles every feature in one `member_profiles` pass; with
+    `workers` > 1 the passes run in that many forked processes
+    (`parallel.fork_map`; a singleton set runs in this process). The member
+    curves are taken in ascending model-id order, so the results are the same
+    bytes for any `workers`.
     """
     rows = np.asarray(sp.train_indices, dtype=np.intp)
     if rows.size > MAX_PDP_ROWS:
@@ -164,7 +170,10 @@ def rashomon_profile(rset: RashomonSet, ds: Dataset, sp: Split,
         rows = np.sort(rng.choice(rows, size=MAX_PDP_ROWS, replace=False))
 
     members = sorted(rset.members, key=lambda m: m.id)
-    profiles = [member_profiles(model, ds, rows, grids) for model in members]
+    with fork_map(functools.partial(member_profiles, ds=ds, rows=rows, grids=grids),
+                  members, workers,
+                  [f"member {m.id} ({m.family})" for m in members]) as passes:
+        profiles = list(passes)
     model_ids = tuple(m.id for m in members)
     results = []
     for feature_index, member_curves in zip(grids, zip(*profiles)):

@@ -337,7 +337,8 @@ def run_dataset(cfg: RunConfig, load_pool_path: str | None = None,
     Writes profile CSV + SVG per feature, metrics.json, config.echo, and a
     one-row summary.csv into cfg.out_dir; returns (summary row, results by
     feature name). Output bytes are a pure function of cfg: `workers`, the
-    number of processes that train the pool, changes none of them.
+    number of processes that train the pool and profile the Rashomon-set
+    members, changes none of them.
     """
     ds, sp, grids = _prepare(cfg, save_pool_path)
     if load_pool_path is not None:
@@ -357,7 +358,7 @@ def run_dataset(cfg: RunConfig, load_pool_path: str | None = None,
     rset = form_set(pool, cfg.epsilon)
 
     profiles = rashomon_profile(rset, ds, sp, grids, n_boot=cfg.n_boot, alpha=cfg.alpha,
-                                seed=cfg.seed)
+                                seed=cfg.seed, workers=workers)
     os.makedirs(cfg.out_dir, exist_ok=True)
     results = dict(zip((ds.feature_names[j] for j in grids), profiles))
     feature_metrics = {}

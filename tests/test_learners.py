@@ -11,6 +11,7 @@ import multiprocessing
 import numpy as np
 import pytest
 
+from rashpdp import parallel
 from rashpdp.data import split
 from rashpdp.learners import pool as pool_module
 from rashpdp.learners import (
@@ -301,33 +302,34 @@ class TestTrainPool:
             train_pool(tiny_dataset, sp, SearchBudget(max_models=5, seed=2), workers=workers)
         assert multiprocessing.active_children() == []
 
-    def test_worker_count_capped_at_units(self, tiny_dataset, monkeypatch):
+    def test_worker_count_capped_at_units(self, tiny_dataset, recording_executor):
         # ridge, one tree and a forest of at most 300 trees: at most 12 units
-        import concurrent.futures
-
-        made = []
-
-        class InProcess:
-            def __init__(self, max_workers, mp_context):
-                made.append(max_workers)
-
-            def map(self, fn, units):
-                units = list(units)
-                made.append(len(units))
-                return map(fn, units)
-
-            def shutdown(self, cancel_futures):
-                made.append("shutdown")
-
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcess)
         sp = split(tiny_dataset, 0.25, seed=1)
         budget = SearchBudget(max_models=3, seed=2)
         pool = train_pool(tiny_dataset, sp, budget, workers=1000)
         n_trees = pool[2].hyperparameters["n_estimators"]
         units = 2 + -(-n_trees // pool_module.FOREST_UNIT_TREES)
-        assert made == [units, units, "shutdown"]
+        made, submitted = recording_executor
+        assert made == [units, "shutdown"]
+        assert sorted(submitted) == list(range(units))
         serial = train_pool(tiny_dataset, sp, budget)
         assert [m.score for m in pool] == [m.score for m in serial]
+
+    def test_units_growing_the_most_trees_are_handed_out_first(self, tiny_dataset,
+                                                               recording_executor):
+        sp = split(tiny_dataset, 0.25, seed=1)
+        budget = SearchBudget(max_models=5, seed=2)
+        pool = train_pool(tiny_dataset, sp, budget, workers=2)
+        _, submitted = recording_executor
+        stages = pool[3].hyperparameters["n_estimators"]
+        n_ranges = -(-pool[2].hyperparameters["n_estimators"] // pool_module.FOREST_UNIT_TREES)
+        # units in model order: ridge, CART, the forest's ranges, boosting, k-NN
+        boosting = 2 + n_ranges
+        assert stages > pool_module.FOREST_UNIT_TREES
+        assert submitted == [boosting, *range(2, boosting), 1, 0, boosting + 1]
+        serial = train_pool(tiny_dataset, sp, budget)
+        assert [(m.id, m.family, m.hyperparameters, m.score) for m in pool] == \
+            [(m.id, m.family, m.hyperparameters, m.score) for m in serial]
 
     def test_predict_is_deterministic_per_row(self, tiny_dataset):
         sp = split(tiny_dataset, 0.25, seed=1)
@@ -336,6 +338,35 @@ class TestTrainPool:
         for m in pool:
             first = m.predictor.predict_many(row)
             assert m.predictor.predict_many(row).tobytes() == first.tobytes()
+
+
+@pytest.fixture
+def recording_executor(monkeypatch):
+    """Stand in for `ProcessPoolExecutor`: run each submitted unit at once in
+    this process and record the worker count, the unit indices in the order
+    they were submitted, and the shutdown. Starts no process."""
+    import concurrent.futures
+
+    made: list = []
+    submitted: list[int] = []
+
+    class InProcess:
+        def __init__(self, max_workers, mp_context, initializer, initargs):
+            made.append(max_workers)
+            initializer(*initargs)
+
+        def submit(self, fn, index):
+            submitted.append(index)
+            future = concurrent.futures.Future()
+            future.set_result(fn(index))
+            return future
+
+        def shutdown(self, cancel_futures):
+            made.append("shutdown")
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcess)
+    monkeypatch.setattr(parallel, "_inherited", None)
+    return made, submitted
 
 
 @pytest.fixture(scope="module")

@@ -5,12 +5,20 @@ from __future__ import annotations
 
 import itertools
 import math
+import multiprocessing
 
 import numpy as np
 import pytest
 
 from rashpdp.data import Dataset, feature_grid, split
-from rashpdp.learners import RandomForestRegression, RegressionTree, SearchBudget, train_pool
+from rashpdp.learners import (
+    FAMILIES,
+    RandomForestRegression,
+    RegressionTree,
+    SearchBudget,
+    train_pool,
+)
+from rashpdp.learners.tree import TreeEnsemble
 from rashpdp.pdp import (
     RashomonPdpResult,
     bootstrap_bands,
@@ -334,6 +342,62 @@ class TestSeveralFeatures:
                                    n_boot=10, alpha=0.1, seed=0)
         assert calls == []  # no tiled rows: the grid walk follows each row's own path
         assert results[2].curves[0].tobytes() == flat.tobytes()
+
+
+class TestForkedMemberPasses:
+    """Under `workers` > 1 each member's pass runs in a forked worker, and the
+    results are the bytes of the passes run in this process."""
+
+    @pytest.fixture()
+    def every_family(self, tiny_dataset):
+        ds = tiny_dataset
+        sp = split(ds, 0.25, seed=1)
+        pool = train_pool(ds, sp, SearchBudget(max_models=10, seed=13))
+        assert {m.family for m in pool} == set(FAMILIES)
+        assert {"uniform", "inverse_distance"} == {
+            m.hyperparameters["weights"] for m in pool if m.family == "KNearestNeighbors"}
+        rset = form_set(pool, 10.0)
+        assert rset.rss == len(pool)
+        grids = {j: feature_grid(ds, j, 9, rows=sp.train_indices) for j in (2, 0, 1)}
+        return ds, sp, rset, grids
+
+    def test_two_workers_give_the_bytes_of_one(self, every_family):
+        ds, sp, rset, grids = every_family
+        serial = rashomon_profile(rset, ds, sp, grids, n_boot=50, alpha=0.1, seed=4)
+        forked = rashomon_profile(rset, ds, sp, grids, n_boot=50, alpha=0.1, seed=4, workers=2)
+        assert multiprocessing.active_children() == []
+        assert len(forked) == len(serial) == len(grids)
+        for one, two in zip(serial, forked):
+            assert two.model_ids == one.model_ids and two.best == one.best
+            for name in ("grid", "curves", "mean", "ci_lo", "ci_hi"):
+                assert getattr(two, name).tobytes() == getattr(one, name).tobytes(), name
+
+    @pytest.mark.parametrize("epsilon, workers", [(1e-9, 4), (10.0, 1)],
+                             ids=["singleton-set", "one-worker"])
+    def test_no_executor_without_two_members_and_two_workers(self, every_family, monkeypatch,
+                                                             epsilon, workers):
+        import concurrent.futures
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("an executor was built")
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", refuse)
+        ds, sp, rset, grids = every_family
+        rset = form_set(list(rset.members), epsilon)
+        results = rashomon_profile(rset, ds, sp, grids, n_boot=20, seed=1, workers=workers)
+        assert [r.curves.shape[0] for r in results] == [rset.rss] * len(grids)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_member_pass_error_surfaces_unchanged(self, every_family, monkeypatch, workers):
+        # every tree member's pass fails; ridge (model 0) profiles first
+        monkeypatch.setattr(TreeEnsemble, "predict_grid",
+                            lambda self, base, grids: [np.full(len(base) * g.size, np.nan)
+                                                       for g in grids.values()])
+        ds, sp, rset, grids = every_family
+        with pytest.raises(ValueError,
+                           match=r"^model 1 \(DecisionTree\) produced non-finite predictions$"):
+            rashomon_profile(rset, ds, sp, grids, n_boot=20, seed=1, workers=workers)
+        assert multiprocessing.active_children() == []
 
 
 def make_result(cs, model_ids=(3, 7), best=0, **changes):

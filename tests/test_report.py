@@ -14,6 +14,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from rashpdp import pdp
 from rashpdp.cli import _read_suite_configs, main
 from rashpdp.data import load_csv, save_csv, split
 from rashpdp.errors import ConfigError, DataError
@@ -25,6 +26,7 @@ from rashpdp.learners import (
     save_pool,
     train_pool,
 )
+from rashpdp.learners.tree import TreeEnsemble
 from rashpdp.pdp import RashomonPdpResult
 from rashpdp.report import (
     CONFIG_FIELDS,
@@ -847,6 +849,35 @@ class TestCli:
         assert code == 3
         assert ("runtime failure: model 0 (LinearRidge): worker process died"
                 in capsys.readouterr().err)
+        assert multiprocessing.active_children() == []
+
+    def test_member_pass_worker_death_exit_three_and_no_worker_left(self, linear_csv, tmp_path,
+                                                                   monkeypatch, capsys):
+        # the fork carries the patched pass into the workers, which die in it
+        monkeypatch.setattr(pdp, "member_profiles", lambda *args, **kwargs: os._exit(1))
+        code = main([
+            "explain", "--data", linear_csv, "--target", "y", "--max-models", "3",
+            "--epsilon", "10", "--workers", "2", "--out", str(tmp_path / "o"),
+        ])
+        assert code == 3
+        assert ("runtime failure: member 0 (LinearRidge): worker process died"
+                in capsys.readouterr().err)
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_member_pass_error_exit_three_under_any_workers(self, linear_csv, tmp_path,
+                                                            monkeypatch, capsys, workers):
+        # every tree member's pass gives NaN; ridge (model 0) profiles first
+        monkeypatch.setattr(TreeEnsemble, "predict_grid",
+                            lambda self, base, grids: [np.full(len(base) * g.size, np.nan)
+                                                       for g in grids.values()])
+        code = main([
+            "explain", "--data", linear_csv, "--target", "y", "--max-models", "3",
+            "--epsilon", "10", "--workers", workers, "--out", str(tmp_path / "o"),
+        ])
+        assert code == 3
+        assert capsys.readouterr().err == (
+            "runtime failure: model 1 (DecisionTree) produced non-finite predictions\n")
         assert multiprocessing.active_children() == []
 
     def test_explain_end_to_end(self, linear_csv, tmp_path, capsys):
