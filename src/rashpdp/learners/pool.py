@@ -138,16 +138,6 @@ def _fit_unit(X: np.ndarray, y: np.ndarray, unit: tuple[Any, range | None]) -> A
     return model.fit(X, y) if trees is None else model.fit_trees(X, y, trees)
 
 
-def _unit_trees(unit: tuple[Any, range | None]) -> int:
-    """Trees a unit grows: boosting stages, a forest range, 1 for a CART."""
-    model, trees = unit
-    if trees is not None:
-        return len(trees)
-    if isinstance(model, GradientBoostingRegression):
-        return model.n_estimators
-    return int(isinstance(model, RegressionTree))
-
-
 def train_pool(ds: Dataset, sp: Split, budget: SearchBudget,
                workers: int = 1) -> list[TrainedModel]:
     """Train up to `budget.max_models` models under the wall-clock cap.
@@ -157,11 +147,10 @@ def train_pool(ds: Dataset, sp: Split, budget: SearchBudget,
     index), so the pool is exactly reproducible apart from the wall-clock
     cutoff. A unit of work is one model, or one range of FOREST_UNIT_TREES
     trees of a forest; with `workers` > 1 the units are fitted in that many
-    forked processes (`parallel.fork_map`), handed out by the trees they grow,
-    most first. Results are taken in model order and the clock is checked
-    before each model's, so the pool is the models 0..k-1 taken before the
-    cap, whatever the number of workers. A fit in progress always runs to
-    completion.
+    forked processes (`parallel.fork_map`), handed out in model order.
+    Results are taken in model order and the clock is checked before each
+    model's, so the pool is the models 0..k-1 taken before the cap, whatever
+    the number of workers. A fit in progress always runs to completion.
     """
     train_idx = np.asarray(sp.train_indices, dtype=np.intp)
     X_train = ds.features[train_idx]
@@ -184,8 +173,8 @@ def train_pool(ds: Dataset, sp: Split, budget: SearchBudget,
     labels = [f"model {i} ({family.name})" for i, family, *_, ranges in drawn for _ in ranges]
 
     pool: list[TrainedModel] = []
-    with fork_map(functools.partial(_fit_unit, X_train, y_train), units, workers, labels,
-                  sizes=[_unit_trees(unit) for unit in units]) as results:
+    with fork_map(functools.partial(_fit_unit, X_train, y_train), units, workers,
+                  labels) as results:
         for i, family, hp, model, ranges in drawn:
             if time.monotonic() - started > budget.max_runtime_secs:
                 break

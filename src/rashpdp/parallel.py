@@ -22,18 +22,17 @@ def _run(index: int) -> Any:
 
 @contextlib.contextmanager
 def fork_map(fn: Callable[[Any], Any], units: Sequence[Any], workers: int,
-             labels: Sequence[str], sizes: Sequence[float] | None = None) -> Iterator[Iterator[Any]]:
+             labels: Sequence[str]) -> Iterator[Iterator[Any]]:
     """Yield an iterator over `fn(unit)` for each of `units`, in their order.
 
     With one worker or one unit, `fn` runs in this process as the iterator is
     read. Otherwise the units run in min(`workers`, units) forked processes,
-    handed out largest `sizes` first (ties, and all units without `sizes`, in
-    order). The workers inherit `fn` and `units` through the fork, so only
-    unit indices and results are pickled. A unit's exception is raised when
-    its result is read; a lost worker makes the first result it takes with it
-    raise RuntimeError("<that unit's label>: worker process died"). On exit
-    the units not yet started are cancelled and the workers are joined, on
-    success and on failure.
+    handed out in order. The workers inherit `fn` and `units` through the
+    fork, so only unit indices and results are pickled. A unit's exception is
+    raised when its result is read; a lost worker makes the first result it
+    takes with it raise RuntimeError("<that unit's label>: worker process
+    died"). On exit the units not yet started are cancelled and the workers
+    are joined, on success and on failure.
     """
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
@@ -53,15 +52,12 @@ def fork_map(fn: Callable[[Any], Any], units: Sequence[Any], workers: int,
                                    mp_context=multiprocessing.get_context("fork"),
                                    initializer=_inherit, initargs=(fn, units))
     try:
-        order = range(len(units))
-        if sizes is not None:
-            order = sorted(order, key=sizes.__getitem__, reverse=True)  # stable
-        futures = {i: executor.submit(_run, i) for i in order}
+        futures = [executor.submit(_run, i) for i in range(len(units))]
 
         def results() -> Iterator[Any]:
-            for i, label in enumerate(labels):
+            for future, label in zip(futures, labels):
                 try:
-                    result = futures[i].result()
+                    result = future.result()
                 except BrokenProcessPool:
                     raise RuntimeError(f"{label}: worker process died") from None
                 yield result

@@ -7,6 +7,7 @@ import itertools
 import json
 import math
 import multiprocessing
+import time
 
 import numpy as np
 import pytest
@@ -311,25 +312,29 @@ class TestTrainPool:
         units = 2 + -(-n_trees // pool_module.FOREST_UNIT_TREES)
         made, submitted = recording_executor
         assert made == [units, "shutdown"]
-        assert sorted(submitted) == list(range(units))
+        assert submitted == list(range(units))
         serial = train_pool(tiny_dataset, sp, budget)
         assert [m.score for m in pool] == [m.score for m in serial]
 
-    def test_units_growing_the_most_trees_are_handed_out_first(self, tiny_dataset,
-                                                               recording_executor):
+    def test_short_cap_under_workers_keeps_the_models_that_came_back_before_it(
+            self, tiny_dataset, monkeypatch):
+        # ridge and the CART fit at once, every other unit takes 0.8 s: models
+        # 0 and 1 come back well inside the 0.4 s cap and model 2's forest
+        # well after it, so the pool is models 0..2, as at one worker
+        fit_unit = pool_module._fit_unit
+
+        def slow(X, y, unit):
+            if not isinstance(unit[0], (RidgeRegression, RegressionTree)):
+                time.sleep(0.8)
+            return fit_unit(X, y, unit)
+
+        monkeypatch.setattr(pool_module, "_fit_unit", slow)
         sp = split(tiny_dataset, 0.25, seed=1)
-        budget = SearchBudget(max_models=5, seed=2)
+        budget = SearchBudget(max_models=5, max_runtime_secs=0.4, seed=2)
         pool = train_pool(tiny_dataset, sp, budget, workers=2)
-        _, submitted = recording_executor
-        stages = pool[3].hyperparameters["n_estimators"]
-        n_ranges = -(-pool[2].hyperparameters["n_estimators"] // pool_module.FOREST_UNIT_TREES)
-        # units in model order: ridge, CART, the forest's ranges, boosting, k-NN
-        boosting = 2 + n_ranges
-        assert stages > pool_module.FOREST_UNIT_TREES
-        assert submitted == [boosting, *range(2, boosting), 1, 0, boosting + 1]
-        serial = train_pool(tiny_dataset, sp, budget)
-        assert [(m.id, m.family, m.hyperparameters, m.score) for m in pool] == \
-            [(m.id, m.family, m.hyperparameters, m.score) for m in serial]
+        assert [(m.id, m.family) for m in pool] == [
+            (0, "LinearRidge"), (1, "DecisionTree"), (2, "RandomForest")]
+        assert multiprocessing.active_children() == []
 
     def test_predict_is_deterministic_per_row(self, tiny_dataset):
         sp = split(tiny_dataset, 0.25, seed=1)
