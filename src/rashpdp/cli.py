@@ -17,6 +17,7 @@ from .report import (
     CONFIG_FIELDS,
     NA,
     RunConfig,
+    _content_lines,
     config_from_mapping,
     correlate_summary,
     read_config_file,
@@ -71,9 +72,7 @@ def _build_parser() -> _Parser:
 
 
 def _explain_config(args: argparse.Namespace) -> RunConfig:
-    cfg = RunConfig(data_path="", target_column="")
-    if args.config:
-        cfg = read_config_file(args.config, defaults=cfg)
+    cfg = read_config_file(args.config) if args.config else RunConfig()
     overrides = {f.key: getattr(args, f.key) for f in CONFIG_FIELDS
                  if f.key != "features" and getattr(args, f.key) is not None}
     cfg = config_from_mapping(overrides, defaults=cfg)
@@ -83,17 +82,9 @@ def _explain_config(args: argparse.Namespace) -> RunConfig:
 
 
 def _read_suite_configs(path: str) -> list[RunConfig]:
-    if not os.path.isfile(path):
-        raise ConfigError(f"no such suite file: {path}")
     base = os.path.dirname(os.path.abspath(path))
-    configs = []
-    with open(path, "r", encoding="utf-8-sig") as fh:
-        for line in fh:
-            text = line.strip()
-            if not text or text.startswith("#"):
-                continue
-            cfg_path = text if os.path.isabs(text) else os.path.join(base, text)
-            configs.append(read_config_file(cfg_path))
+    configs = [read_config_file(os.path.join(base, text))
+               for _, text in _content_lines(path, "suite")]
     if not configs:
         raise ConfigError(f"suite file {path} lists no configurations")
     return configs

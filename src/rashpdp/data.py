@@ -123,8 +123,9 @@ def _parse_cell(raw: str, column: str, row_number: int, is_target: bool) -> floa
     return value
 
 
-def load_csv(path: str | os.PathLike[str], target_column: str, name: str | None = None) -> Dataset:
-    """Load an RFC-4180 CSV with a header row into a Dataset.
+def load_csv(path: str | os.PathLike[str], target_column: str) -> Dataset:
+    """Load an RFC-4180 CSV with a header row into a Dataset named after the
+    file without its extension.
 
     All feature columns must be numeric; missing and non-finite cells are
     rejected rather than imputed. Row order is preserved.
@@ -171,9 +172,8 @@ def load_csv(path: str | os.PathLike[str], target_column: str, name: str | None 
     if len(rows) < 2:
         raise DataError(f"{path} has {len(rows)} data rows; at least 2 are required")
 
-    dataset_name = name if name is not None else os.path.splitext(os.path.basename(path))[0]
     return Dataset(
-        name=dataset_name,
+        name=os.path.splitext(os.path.basename(path))[0],
         features=np.asarray(rows, dtype=np.float64),
         feature_names=tuple(feature_names),
         target=np.asarray(targets, dtype=np.float64),

@@ -6,12 +6,7 @@ from .forest import RandomForestRegression
 from .knn import KNearestNeighborsRegression
 from .linear import RidgeRegression
 from .pool import (
-    DECISION_TREE,
     FAMILIES,
-    GRADIENT_BOOSTING,
-    K_NEAREST_NEIGHBORS,
-    LINEAR_RIDGE,
-    RANDOM_FOREST,
     SearchBudget,
     TrainedModel,
     rmse,
@@ -20,14 +15,9 @@ from .pool import (
 from .tree import RegressionTree
 
 __all__ = [
-    "DECISION_TREE",
     "FAMILIES",
-    "GRADIENT_BOOSTING",
     "GradientBoostingRegression",
-    "K_NEAREST_NEIGHBORS",
     "KNearestNeighborsRegression",
-    "LINEAR_RIDGE",
-    "RANDOM_FOREST",
     "RandomForestRegression",
     "RegressionTree",
     "RidgeRegression",

@@ -17,12 +17,6 @@ from .knn import KNearestNeighborsRegression
 from .linear import RidgeRegression
 from .tree import RegressionTree
 
-LINEAR_RIDGE = "LinearRidge"
-DECISION_TREE = "DecisionTree"
-RANDOM_FOREST = "RandomForest"
-GRADIENT_BOOSTING = "GradientBoosting"
-K_NEAREST_NEIGHBORS = "KNearestNeighbors"
-
 
 @dataclass(frozen=True)
 class Family:
@@ -38,25 +32,26 @@ class Family:
 
 
 # Training cycles through families in this fixed order, so any pool of five
-# or more models contains every family. Dict displays draw left to right.
+# or more models contains every family. Dict displays draw left to right. A
+# family's name is its `family` string in metrics.json and the pool archive.
 REGISTRY = {family.name: family for family in (
-    Family(LINEAR_RIDGE, RidgeRegression,
+    Family("LinearRidge", RidgeRegression,
            lambda rng: {"alpha": float(10.0 ** rng.uniform(-6.0, 1.0))},
            lambda hp, fit_seed: RidgeRegression(**hp)),
-    Family(DECISION_TREE, RegressionTree,
+    Family("DecisionTree", RegressionTree,
            lambda rng: {"max_depth": int(rng.integers(2, 13)),
                         "min_samples_leaf": int(rng.integers(1, 21))},
            lambda hp, fit_seed: RegressionTree(**hp)),
-    Family(RANDOM_FOREST, RandomForestRegression,
+    Family("RandomForest", RandomForestRegression,
            lambda rng: {"n_estimators": int(rng.integers(50, 301)),
                         "max_features": str(rng.choice(["sqrt", "third"]))},
            lambda hp, fit_seed: RandomForestRegression(**hp, seed=fit_seed)),
-    Family(GRADIENT_BOOSTING, GradientBoostingRegression,
+    Family("GradientBoosting", GradientBoostingRegression,
            lambda rng: {"n_estimators": int(rng.integers(50, 501)),
                         "learning_rate": float(rng.uniform(0.01, 0.3)),
                         "max_depth": int(rng.integers(2, 7))},
            lambda hp, fit_seed: GradientBoostingRegression(**hp)),
-    Family(K_NEAREST_NEIGHBORS, KNearestNeighborsRegression,
+    Family("KNearestNeighbors", KNearestNeighborsRegression,
            lambda rng: {"n_neighbors": int(rng.integers(3, 26)),
                         "weights": str(rng.choice(["uniform", "inverse_distance"]))},
            lambda hp, fit_seed: KNearestNeighborsRegression(**hp)),

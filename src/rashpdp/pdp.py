@@ -32,7 +32,8 @@ class RashomonPdpResult:
 
     Row `i` of `curves` (shape (k, m)) is the profile of model `model_ids[i]`
     on `grid`. The ids ascend, the canonical order used for bootstrap
-    resampling; `best` is the row of the set's best model.
+    resampling; `best` is the row of the set's best model. `mean`, computed
+    here and never passed, is `curves.mean(axis=0)`.
     """
 
     feature_index: int
@@ -40,7 +41,7 @@ class RashomonPdpResult:
     curves: np.ndarray
     model_ids: tuple[int, ...]
     best: int
-    mean: np.ndarray
+    mean: np.ndarray = field(init=False)
     ci_lo: np.ndarray
     ci_hi: np.ndarray
     n_boot: int
@@ -60,7 +61,8 @@ class RashomonPdpResult:
             raise ValueError(f"best row {self.best} out of range for {len(self.model_ids)} curves")
         curves.setflags(write=False)
         object.__setattr__(self, "curves", curves)
-        for name in ("mean", "ci_lo", "ci_hi"):
+        object.__setattr__(self, "mean", curves.mean(axis=0))
+        for name in ("ci_lo", "ci_hi"):
             vec = np.asarray(getattr(self, name), dtype=np.float64)
             if vec.shape != (m,):
                 raise ValueError(f"{name} must have the grid's length {m}")
@@ -186,7 +188,6 @@ def rashomon_profile(rset: RashomonSet, ds: Dataset, sp: Split,
             curves=curves,
             model_ids=model_ids,
             best=model_ids.index(rset.best_id),
-            mean=curves.mean(axis=0),
             ci_lo=ci_lo,
             ci_hi=ci_hi,
             n_boot=int(n_boot),

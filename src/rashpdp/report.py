@@ -29,8 +29,8 @@ class RunConfig:
     """Effective configuration of one dataset run; echoed into every output
     directory for provenance."""
 
-    data_path: str
-    target_column: str
+    data_path: str = ""
+    target_column: str = ""
     features: tuple[str, ...] = ()
     epsilon: float = DEFAULT_EPSILON
     max_models: int = DEFAULT_MAX_MODELS
@@ -120,24 +120,28 @@ CONFIG_FIELDS = (
 )
 
 
+def _content_lines(path: str, kind: str) -> list[tuple[int, str]]:
+    """(line number, stripped text) of each line of a config or suite file
+    that is not blank or a '#' comment; a leading byte-order mark is skipped."""
+    if not os.path.isfile(path):
+        raise ConfigError(f"no such {kind} file: {path}")
+    with open(path, "r", encoding="utf-8-sig") as fh:
+        lines = [(lineno, line.strip()) for lineno, line in enumerate(fh, start=1)]
+    return [(lineno, text) for lineno, text in lines if text and not text.startswith("#")]
+
+
 def parse_config_file(path: str | os.PathLike[str]) -> dict[str, str]:
     """Read a flat `key = value` config file; '#' starts a comment line."""
     path = os.fspath(path)
-    if not os.path.isfile(path):
-        raise ConfigError(f"no such config file: {path}")
     values: dict[str, str] = {}
-    with open(path, "r", encoding="utf-8-sig") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            text = line.strip()
-            if not text or text.startswith("#"):
-                continue
-            if "=" not in text:
-                raise ConfigError(f"{path}:{lineno}: expected 'key = value', got '{text}'")
-            key, _, value = text.partition("=")
-            key = key.strip()
-            if key not in {f.key for f in CONFIG_FIELDS}:
-                raise ConfigError(f"{path}:{lineno}: unknown config key '{key}'")
-            values[key] = value.strip()
+    for lineno, text in _content_lines(path, "config"):
+        if "=" not in text:
+            raise ConfigError(f"{path}:{lineno}: expected 'key = value', got '{text}'")
+        key, _, value = text.partition("=")
+        key = key.strip()
+        if key not in {f.key for f in CONFIG_FIELDS}:
+            raise ConfigError(f"{path}:{lineno}: unknown config key '{key}'")
+        values[key] = value.strip()
     return values
 
 
@@ -145,7 +149,7 @@ def config_from_mapping(values: dict[str, str], base_dir: str = "",
                         defaults: RunConfig | None = None) -> RunConfig:
     """Build a RunConfig from flat string values, resolving paths against
     `base_dir`. Unset keys fall back to `defaults`."""
-    cfg = defaults if defaults is not None else RunConfig(data_path="", target_column="")
+    cfg = defaults if defaults is not None else RunConfig()
 
     updates: dict[str, object] = {}
     for f in CONFIG_FIELDS:
@@ -161,13 +165,12 @@ def config_from_mapping(values: dict[str, str], base_dir: str = "",
     return replace(cfg, **updates)
 
 
-def read_config_file(path: str, defaults: RunConfig | None = None) -> RunConfig:
+def read_config_file(path: str) -> RunConfig:
     """The RunConfig of a config file, its relative paths resolved against the
     file's directory; a value that does not parse is reported with the file."""
     values = parse_config_file(path)
     try:
-        return config_from_mapping(values, base_dir=os.path.dirname(os.path.abspath(path)),
-                                   defaults=defaults)
+        return config_from_mapping(values, base_dir=os.path.dirname(os.path.abspath(path)))
     except ConfigError as exc:
         raise ConfigError(f"{path}: {exc}") from None
 

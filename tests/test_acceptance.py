@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from rashpdp.data import feature_grid, save_csv, split
-from rashpdp.learners import LINEAR_RIDGE, RidgeRegression, TrainedModel, rmse
+from rashpdp.learners import RidgeRegression, TrainedModel, rmse
 from rashpdp.metrics import coverage_rate, mwci
 from rashpdp.pdp import pdp_single, rashomon_profile, _percentile_band
 from rashpdp.rashomon import form_set
@@ -87,7 +87,7 @@ def test_criterion_4_analytic_linear_oracle():
     for i, alpha in enumerate(alphas):
         ridge = RidgeRegression(alpha=alpha).fit(ds.features[train], ds.target[train])
         score = rmse(ridge.predict_many(ds.features[test]), ds.target[test])
-        pool.append(TrainedModel(id=i, family=LINEAR_RIDGE,
+        pool.append(TrainedModel(id=i, family="LinearRidge",
                                  hyperparameters={"alpha": alpha},
                                  predictor=ridge, score=score))
 

@@ -83,10 +83,10 @@ class TestLoadCsv:
                              ids=["target first", "feature first"])
     def test_byte_order_mark_is_not_part_of_the_first_name(self, tmp_path, text):
         # as a spreadsheet's "CSV UTF-8" export writes it
-        plain = load_csv(write(tmp_path, text), "y", name="d")
+        plain = load_csv(write(tmp_path, text), "y")
         marked_path = tmp_path / "marked.csv"
         marked_path.write_bytes(codecs.BOM_UTF8 + text.encode("utf-8"))
-        marked = load_csv(marked_path, "y", name="d")
+        marked = load_csv(marked_path, "y")
         assert (marked.feature_names, marked.target_name) == (("a",), "y")
         assert marked.features.tobytes() == plain.features.tobytes()
         assert marked.target.tobytes() == plain.target.tobytes()
@@ -102,7 +102,7 @@ class TestLoadCsv:
         )
         path = tmp_path / "rt.csv"
         save_csv(ds, path)
-        back = load_csv(path, "t", name="rt")
+        back = load_csv(path, "t")
         np.testing.assert_array_equal(back.features, ds.features)
         np.testing.assert_array_equal(back.target, ds.target)
         assert back.feature_names == ds.feature_names

@@ -24,7 +24,7 @@ def make_result(best_values, ci_lo, ci_hi, grid=None):
     return RashomonPdpResult(
         feature_index=0, grid=np.asarray(grid, dtype=np.float64),
         curves=best_values[None, :], model_ids=(0,), best=0,
-        mean=best_values, ci_lo=np.asarray(ci_lo, dtype=np.float64),
+        ci_lo=np.asarray(ci_lo, dtype=np.float64),
         ci_hi=np.asarray(ci_hi, dtype=np.float64), n_boot=10, alpha=0.05, seed=0,
     )
 
@@ -43,7 +43,7 @@ class TestMwci:
         lo, hi = bootstrap_bands(cs, n_boot=200, alpha=0.05, seed=5)
         r = RashomonPdpResult(
             feature_index=0, grid=np.array([0.0, 1.0]), curves=cs, model_ids=(0, 1),
-            best=0, mean=cs.mean(axis=0), ci_lo=lo, ci_hi=hi, n_boot=200,
+            best=0, ci_lo=lo, ci_hi=hi, n_boot=200,
             alpha=0.05, seed=5,
         )
         assert mwci(r) == pytest.approx(float(np.mean(hi - lo)))

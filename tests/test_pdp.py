@@ -403,8 +403,8 @@ class TestForkedMemberPasses:
 def make_result(cs, model_ids=(3, 7), best=0, **changes):
     lo, hi = bootstrap_bands(cs, n_boot=50, alpha=0.05, seed=0)
     fields = dict(feature_index=0, grid=np.arange(cs.shape[1], dtype=np.float64),
-                  curves=cs, model_ids=model_ids, best=best, mean=cs.mean(axis=0),
-                  ci_lo=lo, ci_hi=hi, n_boot=50, alpha=0.05, seed=0, feature_name="x")
+                  curves=cs, model_ids=model_ids, best=best, ci_lo=lo, ci_hi=hi,
+                  n_boot=50, alpha=0.05, seed=0, feature_name="x")
     return RashomonPdpResult(**{**fields, **changes})
 
 
@@ -416,13 +416,19 @@ class TestRashomonPdpResult:
         ({"curves": np.array([[0.0, np.inf], [1.0, 1.0]])}, "must be finite"),
         ({"best": 2}, "best row 2 out of range for 2 curves"),
         ({"best": -1}, "best row -1 out of range"),
-        ({"mean": np.zeros(3)}, "mean must have the grid's length 2"),
         ({"ci_lo": np.ones(2), "ci_hi": np.zeros(2)}, "lower band"),
     ], ids=["ids", "grid-length", "empty", "non-finite", "best-past-end", "best-negative",
-            "mean-length", "band-order"])
+            "band-order"])
     def test_inconsistent_result_rejected(self, changes, message):
         with pytest.raises(ValueError, match=message):
             make_result(curves([0.0, 1.0], [2.0, 3.0]), **changes)
+
+    def test_mean_is_computed_from_the_curves(self):
+        cs = curves([0.1, 0.7, 1.3], [0.2, 0.3, 2.9], [1e-17, 5.0, -0.4])
+        result = make_result(cs, model_ids=(1, 4, 6))
+        assert result.mean.tobytes() == cs.mean(axis=0).tobytes()
+        with pytest.raises(TypeError, match="mean"):
+            make_result(cs, model_ids=(1, 4, 6), mean=cs[0])
 
     def test_curves_are_read_only(self):
         result = make_result(curves([0.0, 1.0], [2.0, 3.0]))

@@ -40,13 +40,13 @@ def curve_sets(draw, min_curves=1, max_curves=6):
 
 def band_result(curves, lo, hi, best=None):
     """Result over the member rows `curves`; a `best` profile that is not a
-    member is appended as one more row, outside the mean and band."""
+    member is appended as one more row, outside the band."""
     rows = curves if best is None else np.vstack([curves, best])
     k, m = rows.shape
     return RashomonPdpResult(
         feature_index=0, grid=np.arange(m, dtype=np.float64), curves=rows,
         model_ids=tuple(range(k)), best=k - 1 if best is not None else 0,
-        mean=curves.mean(axis=0), ci_lo=lo, ci_hi=hi, n_boot=1, alpha=0.05, seed=0,
+        ci_lo=lo, ci_hi=hi, n_boot=1, alpha=0.05, seed=0,
     )
 
 

@@ -296,7 +296,7 @@ class TestSvg:
         return RashomonPdpResult(
             feature_index=0, grid=grid,
             curves=np.array([mean - spread / 2, mean + spread / 2]), model_ids=(2, 5),
-            best=0, mean=mean, ci_lo=mean - spread, ci_hi=mean + spread,
+            best=0, ci_lo=mean - spread, ci_hi=mean + spread,
             n_boot=100, alpha=0.05, seed=0, feature_name="load",
         )
 
