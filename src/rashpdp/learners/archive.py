@@ -121,8 +121,9 @@ def _write_json(fh: Any, value: Any) -> None:
 
 def load_pool(path: str | os.PathLike[str]) -> list[TrainedModel]:
     """Restore a pool saved by save_pool; predictions match the original. A
-    malformed model, or one whose id an earlier model has, raises ValueError
-    naming the path, its index and the field."""
+    malformed model, one whose id an earlier model has, or one whose
+    hyperparameters are not its state's, raises ValueError naming the path,
+    its index and the field."""
     with open(os.fspath(path), "r", encoding="utf-8") as fh:
         payload = json.load(fh)
     if not isinstance(payload, dict) or payload.get("format") != ARCHIVE_FORMAT:
@@ -149,6 +150,7 @@ def load_pool(path: str | os.PathLike[str]) -> list[TrainedModel]:
                 raise ValueError(f"key 'id' repeats an earlier model's id {model_id}")
             predictor = from_state(REGISTRY[family].model_class, entry["state"])
             predictor.validate()
+            _check_hyperparameters(family, hyperparameters, entry["state"])
             pool.append(TrainedModel(id=model_id, family=family, predictor=predictor,
                                      hyperparameters=hyperparameters, score=score))
         except KeyError as exc:
@@ -185,3 +187,20 @@ def _entry_keys(entry: dict[str, Any]) -> tuple[int, float, dict[str, Any]]:
     if not isinstance(hyperparameters, dict):
         raise ValueError(f"key 'hyperparameters' must be an object, got {hyperparameters!r}")
     return model_id, float(score), hyperparameters
+
+
+def _check_hyperparameters(family: str, hyperparameters: dict[str, Any],
+                           state: dict[str, Any]) -> None:
+    """Require `hyperparameters` to hold exactly the keys `family` draws, each
+    with its value in the model's `state` (the same JSON type too), so that
+    metrics.json reports the model that predicts."""
+    drawn = REGISTRY[family].sample(np.random.default_rng(0))
+    for key in sorted(drawn.keys() | hyperparameters.keys()):
+        if key not in drawn:
+            raise ValueError(f"key 'hyperparameters' has '{key}', which {family} does not draw")
+        if key not in hyperparameters:
+            raise ValueError(f"key 'hyperparameters' lacks '{key}', which {family} draws")
+        value = hyperparameters[key]
+        if type(value) is not type(state[key]) or value != state[key]:
+            raise ValueError(f"key 'hyperparameters': '{key}' is {value!r}, "
+                             f"the state's is {state[key]!r}")

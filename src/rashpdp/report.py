@@ -286,7 +286,8 @@ def _write_json(payload: dict[str, Any], path: str) -> None:
         fh.write("\n")
 
 
-def _prepare(cfg: RunConfig, save_pool_path: str | None = None):
+def _prepare(cfg: RunConfig, load_pool_path: str | None = None,
+             save_pool_path: str | None = None):
     """A run's checks before training, in `explain`'s order; returns (dataset, split, grids)."""
     cfg.validate()
     _require_directory(cfg.out_dir, f"output directory {cfg.out_dir}")
@@ -312,13 +313,22 @@ def _prepare(cfg: RunConfig, save_pool_path: str | None = None):
         if stems.setdefault(stem, name) != name:
             raise ConfigError(f"dataset '{ds.name}': features '{stems[stem]}' and '{name}' "
                               f"both write profile_{stem}.csv and profile_{stem}.svg")
-    if save_pool_path is not None:  # the archive must not replace the data or an output
-        outputs = ["metrics.json", "config.echo", "summary.csv"]
-        outputs += [f"profile_{stem}.{ext}" for stem in stems for ext in ("csv", "svg")]
-        for path in [cfg.data_path] + [os.path.join(cfg.out_dir, name) for name in outputs]:
-            if os.path.realpath(path) == os.path.realpath(save_pool_path):
-                raise ConfigError(f"dataset '{ds.name}': the pool archive {save_pool_path} "
-                                  f"would overwrite {path}")
+    # No file the run writes may be a file it reads or another file it writes,
+    # except that the pool archive may be rewritten: it holds the same pool.
+    outputs = ["metrics.json", "config.echo", "summary.csv"]
+    outputs += [f"profile_{stem}.{ext}" for stem in stems for ext in ("csv", "svg")]
+    written = [("the output", os.path.join(cfg.out_dir, name)) for name in outputs]
+    if save_pool_path is not None:
+        written.append(("the pool archive", save_pool_path))
+    files = {os.path.realpath(path): (what, path) for what, path in
+             [("the pool archive", load_pool_path), ("the data", cfg.data_path)]
+             if path is not None}  # real path -> (what the run keeps there, its path)
+    for what, path in written:
+        real = os.path.realpath(path)
+        if real in files and (what, files[real][0]) != ("the pool archive", "the pool archive"):
+            raise ConfigError(f"dataset '{ds.name}': {what} {path} "
+                              f"would overwrite {files[real][1]}")
+        files[real] = (what, path)
 
     sp = split(ds, cfg.test_fraction, derive_seed(cfg.seed, ROLE_SPLIT))
     # The grids need only the training rows: a feature without a grid span
@@ -343,7 +353,7 @@ def run_dataset(cfg: RunConfig, load_pool_path: str | None = None,
     number of processes that train the pool and profile the Rashomon-set
     members, changes none of them.
     """
-    ds, sp, grids = _prepare(cfg, save_pool_path)
+    ds, sp, grids = _prepare(cfg, load_pool_path, save_pool_path)
     if load_pool_path is not None:
         pool = load_pool(load_pool_path)
         check_scores(pool, ds, sp, load_pool_path)

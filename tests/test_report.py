@@ -437,6 +437,19 @@ class TestCli:
         "list hyperparameters": (lambda p: p["models"][0].update(hyperparameters=[["alpha", 1]]),
                                  "pool archive {path}: model 0: "
                                  "key 'hyperparameters' must be an object, got [['alpha', 1]]"),
+        "changed hyperparameter": (lambda p: p["models"][1]["hyperparameters"].update(max_depth=99),
+                                   "pool archive {path}: model 1: "
+                                   "key 'hyperparameters': 'max_depth' is 99, the state's is "),
+        "retyped hyperparameter": (lambda p: p["models"][1]["hyperparameters"].update(
+                                       max_depth=float(p["models"][1]["state"]["max_depth"])),
+                                   "pool archive {path}: model 1: "
+                                   "key 'hyperparameters': 'max_depth' is "),
+        "unknown hyperparameter": (lambda p: p["models"][0]["hyperparameters"].update(bogus=1),
+                                   "pool archive {path}: model 0: key 'hyperparameters' "
+                                   "has 'bogus', which LinearRidge does not draw"),
+        "missing hyperparameter": (lambda p: p["models"][1]["hyperparameters"].__delitem__("max_depth"),
+                                   "pool archive {path}: model 1: key 'hyperparameters' "
+                                   "lacks 'max_depth', which DecisionTree draws"),
     }
 
     @pytest.mark.parametrize("edit, message", BAD_ARCHIVES.values(), ids=BAD_ARCHIVES.keys())
@@ -538,6 +551,38 @@ class TestCli:
         assert data.read_bytes() == before
         assert not out.exists()
 
+    @pytest.mark.parametrize("name", ["summary.csv", "metrics.json", "profile_x1.csv"])
+    def test_data_that_is_an_output_exit_one(self, linear_csv, tmp_path, capsys, name):
+        out = tmp_path / "d"
+        out.mkdir()
+        data = out / name
+        with open(linear_csv, "rb") as fh:
+            data.write_bytes(fh.read())
+        before = data.read_bytes()
+        code = main(["explain", "--data", str(data), "--target", "y", "--feature", "x1",
+                     "--max-models", "2", "--bootstrap", "20", "--grid", "4",
+                     "--out", str(tmp_path / "elsewhere" / ".." / "d")])
+        assert code == 1
+        assert f"would overwrite {data}" in capsys.readouterr().err
+        assert data.read_bytes() == before
+        assert os.listdir(out) == [name]
+
+    def test_suite_entry_whose_data_is_an_output_exit_one(self, linear_csv, tmp_path, capsys):
+        (tmp_path / "d").mkdir()
+        with open(linear_csv, "rb") as fh:
+            (tmp_path / "d" / "summary.csv").write_bytes(fh.read())
+        (tmp_path / "run.cfg").write_text("data = d/summary.csv\ntarget = y\nout = d\n",
+                                          encoding="utf-8")
+        (tmp_path / "suite.txt").write_text("run.cfg\n", encoding="utf-8")
+        code = main(["suite", "--configs", str(tmp_path / "suite.txt"),
+                     "--out", str(tmp_path / "s")])
+        assert code == 1
+        data = tmp_path / "d" / "summary.csv"
+        assert (f"suite entry 1 ('{data}'): dataset 'summary': the output {data} "
+                f"would overwrite {data}" in capsys.readouterr().err)
+        assert os.listdir(tmp_path / "d") == ["summary.csv"]
+        assert not (tmp_path / "s").exists()
+
     @pytest.fixture(scope="class")
     def seed_42_archive(self, linear_csv, tmp_path_factory):
         """A two-model pool saved by `explain` on linear_csv at --seed 42."""
@@ -549,6 +594,32 @@ class TestCli:
         ])
         assert code == 0
         return archive
+
+    def test_loaded_archive_that_is_an_output_exit_one(self, linear_csv, seed_42_archive,
+                                                       tmp_path, capsys):
+        out = tmp_path / "out"
+        out.mkdir()
+        archive = out / "metrics.json"
+        archive.write_bytes(seed_42_archive.read_bytes())
+        code = main(["explain", "--data", linear_csv, "--target", "y", "--feature", "x1",
+                     "--bootstrap", "20", "--grid", "4", "--seed", "42",
+                     "--load-pool", str(archive), "--out", str(out)])
+        assert code == 1
+        assert (f"the output {archive} would overwrite {archive}"
+                in capsys.readouterr().err)
+        assert archive.read_bytes() == seed_42_archive.read_bytes()
+        assert os.listdir(out) == ["metrics.json"]
+
+    def test_save_pool_may_rewrite_the_loaded_archive(self, linear_csv, seed_42_archive,
+                                                      tmp_path):
+        archive = tmp_path / "pool.json"
+        archive.write_bytes(seed_42_archive.read_bytes())
+        code = main(["explain", "--data", linear_csv, "--target", "y", "--feature", "x1",
+                     "--bootstrap", "20", "--grid", "4", "--seed", "42",
+                     "--load-pool", str(archive), "--save-pool", str(archive),
+                     "--out", str(tmp_path / "o")])
+        assert code == 0
+        assert archive.read_bytes() == seed_42_archive.read_bytes()
 
     @pytest.mark.parametrize("data, flags", [
         ("linear", ["--seed", "7"]),
