@@ -29,20 +29,8 @@ def _fields(cls: type) -> tuple[tuple[str, ...], tuple[tuple[str, str, Any], ...
             tuple((attr, attr.rstrip("_"), kind) for attr, kind in cls.FITTED.items()))
 
 
-def get_state(model: Any) -> dict[str, Any]:
-    """The JSON-ready state of a fitted model."""
-    params, fitted = _fields(type(model))
-    state = {name: getattr(model, name) for name in params}
-    for attr, key, kind in fitted:
-        value = getattr(model, attr)
-        state[key] = (float(value) if kind is float
-                      else value.tolist() if issubclass(kind, np.number)
-                      else [get_state(part) for part in value])
-    return state
-
-
 def from_state(cls: type, state: Any) -> Any:
-    """Rebuild a fitted `cls` from `get_state` output. A missing or mistyped
+    """Rebuild a fitted `cls` from the state `save_pool` wrote. A missing or mistyped
     field raises ValueError naming it; load_pool then runs the model's
     `validate` for the checks that span fields."""
     params, fitted = _fields(cls)
@@ -88,7 +76,7 @@ def save_pool(pool: list[TrainedModel], path: str | os.PathLike[str]) -> None:
                 "family": m.family,
                 "hyperparameters": m.hyperparameters,
                 "score": m.score,
-                "state": get_state(m.predictor),
+                "state": m.predictor,
             }
             for m in pool
         ],
@@ -98,19 +86,28 @@ def save_pool(pool: list[TrainedModel], path: str | os.PathLike[str]) -> None:
 
 
 def _write_json(fh: Any, value: Any) -> None:
-    """Write the bytes of `json.dump(value, fh, sort_keys=True)`. Objects and
-    lists of objects are framed here and every other value is encoded in one
-    call of the C encoder: `json.dump` runs the pure-Python encoder (about 3x
-    slower on a forest's archive), and one `json.dumps` string of the whole
-    archive holds several times its size in memory at once."""
+    """Write the bytes of `json.dump(value, fh, sort_keys=True)`, with a model
+    written as its state: its constructor arguments and `FITTED` attributes,
+    read through `_fields` as `from_state` reads them. Objects, lists and
+    models are framed here; every other value, an array as its `tolist()`, is
+    encoded in one call of the C encoder. So one array at a time is held as
+    Python lists, `json.dump`'s pure-Python encoder (about 3x slower on a
+    forest's archive) never runs, and no string of the whole archive, several
+    times its size in memory, is built."""
+    if hasattr(value, "FITTED"):
+        params, fitted = _fields(type(value))
+        state = {name: getattr(value, name) for name in params}
+        for attr, key, kind in fitted:
+            state[key] = float(getattr(value, attr)) if kind is float else getattr(value, attr)
+        value = state
     if isinstance(value, dict):
         opener, closer = "{", "}"
         items = [(json.dumps(key) + ": ", value[key]) for key in sorted(value)]
-    elif isinstance(value, list) and value and isinstance(value[0], dict):
+    elif isinstance(value, list):
         opener, closer = "[", "]"
         items = [("", item) for item in value]
     else:
-        fh.write(json.dumps(value, sort_keys=True))
+        fh.write(json.dumps(value.tolist() if isinstance(value, np.ndarray) else value))
         return
     fh.write(opener)
     for i, (prefix, item) in enumerate(items):

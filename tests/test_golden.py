@@ -13,6 +13,7 @@ import dataclasses
 import hashlib
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -115,6 +116,22 @@ def test_pool_archive_bytes(tiny_dataset, tmp_path):
     assert hashlib.sha256(saved).hexdigest() == GOLDEN_POOL_SHA256
     save_pool(load_pool(tmp_path / "pool.json"), tmp_path / "again.json")
     assert (tmp_path / "again.json").read_bytes() == saved
+
+
+def test_save_pool_holds_one_array_at_a_time(tmp_path):
+    # A copy of the pool's state as Python lists takes about twice the
+    # archive's size; written one array at a time it stays far below that.
+    ds = make_friedman(n_rows=300, seed=11)
+    pool = train_pool(ds, split(ds, 0.25, seed=1),
+                      SearchBudget(max_models=5, max_runtime_secs=math.inf, seed=3))
+    assert len({m.family for m in pool}) == 5
+    tracemalloc.start()
+    try:
+        save_pool(pool, tmp_path / "pool.json")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < (tmp_path / "pool.json").stat().st_size / 2
 
 
 def test_every_golden_config_field_is_non_default():
