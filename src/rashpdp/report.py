@@ -8,7 +8,7 @@ import math
 import os
 import re
 from dataclasses import asdict, dataclass, replace
-from typing import Any, Callable, NamedTuple
+from typing import Any, Callable, Iterable, NamedTuple
 
 from .data import DEFAULT_GRID_SIZE, DEFAULT_TEST_FRACTION, feature_grid, load_csv, split
 from .errors import ConfigError, DataError
@@ -286,9 +286,24 @@ def _write_json(payload: dict[str, Any], path: str) -> None:
         fh.write("\n")
 
 
+def _check_overwrites(reads: Iterable[tuple[str, str | None]],
+                      writes: Iterable[tuple[str, str]]) -> None:
+    """Raise ConfigError, naming both paths, when a file of `writes` is by real
+    path one of `reads` or an earlier one of `writes`. Each is a (what, path)
+    pair and a None path is skipped. The pool archive may rewrite the pool
+    archive read: it holds the same pool."""
+    files = {os.path.realpath(path): (what, path) for what, path in reads if path is not None}
+    for what, path in writes:
+        real = os.path.realpath(path)
+        if real in files and (what, files[real][0]) != ("the pool archive", "the pool archive"):
+            raise ConfigError(f"{what} {path} would overwrite {files[real][1]}")
+        files[real] = (what, path)
+
+
 def _prepare(cfg: RunConfig, load_pool_path: str | None = None,
-             save_pool_path: str | None = None):
-    """A run's checks before training, in `explain`'s order; returns (dataset, split, grids)."""
+             save_pool_path: str | None = None, reads: Iterable[tuple[str, str]] = ()):
+    """A run's checks before training, in `explain`'s order; returns (dataset,
+    split, grids). No output may be one of `reads`, the files other runs read."""
     cfg.validate()
     _require_directory(cfg.out_dir, f"output directory {cfg.out_dir}")
     if save_pool_path is not None:
@@ -313,22 +328,16 @@ def _prepare(cfg: RunConfig, load_pool_path: str | None = None,
         if stems.setdefault(stem, name) != name:
             raise ConfigError(f"dataset '{ds.name}': features '{stems[stem]}' and '{name}' "
                               f"both write profile_{stem}.csv and profile_{stem}.svg")
-    # No file the run writes may be a file it reads or another file it writes,
-    # except that the pool archive may be rewritten: it holds the same pool.
     outputs = ["metrics.json", "config.echo", "summary.csv"]
     outputs += [f"profile_{stem}.{ext}" for stem in stems for ext in ("csv", "svg")]
     written = [("the output", os.path.join(cfg.out_dir, name)) for name in outputs]
     if save_pool_path is not None:
         written.append(("the pool archive", save_pool_path))
-    files = {os.path.realpath(path): (what, path) for what, path in
-             [("the pool archive", load_pool_path), ("the data", cfg.data_path)]
-             if path is not None}  # real path -> (what the run keeps there, its path)
-    for what, path in written:
-        real = os.path.realpath(path)
-        if real in files and (what, files[real][0]) != ("the pool archive", "the pool archive"):
-            raise ConfigError(f"dataset '{ds.name}': {what} {path} "
-                              f"would overwrite {files[real][1]}")
-        files[real] = (what, path)
+    try:
+        _check_overwrites([("the pool archive", load_pool_path), ("the data", cfg.data_path),
+                           *reads], written)
+    except ConfigError as exc:
+        raise ConfigError(f"dataset '{ds.name}': {exc}") from None
 
     sp = split(ds, cfg.test_fraction, derive_seed(cfg.seed, ROLE_SPLIT))
     # The grids need only the training rows: a feature without a grid span
@@ -432,6 +441,7 @@ def run_suite(configs: list[RunConfig], out_dir: str, workers: int = 1):
 
     Before any dataset runs or `out_dir` is created, every entry passes each check
     `explain` makes before training; an error names the entry's number and data path.
+    No file the suite or an entry writes may be the data of an entry.
     Emits the suite summary CSV plus suite_report.json; the correlation is
     skipped (with a recorded warning) when fewer than four rows have defined
     metrics. Returns (rows, correlation or None, warnings).
@@ -439,20 +449,24 @@ def run_suite(configs: list[RunConfig], out_dir: str, workers: int = 1):
     if not configs:
         raise ConfigError("suite needs at least one dataset configuration")
     _require_directory(out_dir, f"output directory {out_dir}")
+    entries = [replace(cfg, out_dir=cfg.out_dir or os.path.join(
+        out_dir, _safe_filename(os.path.splitext(os.path.basename(cfg.data_path))[0])))
+        for cfg in configs]
+    data = [("the data", run.data_path) for run in entries]
+    _check_overwrites(data, [("the suite output", os.path.join(out_dir, name))
+                             for name in ("summary.csv", "suite_report.json")])
     runs: dict[str, RunConfig] = {}  # absolute output directory -> its run
-    for position, cfg in enumerate(configs, start=1):
-        run = replace(cfg, out_dir=cfg.out_dir or os.path.join(
-            out_dir, _safe_filename(os.path.splitext(os.path.basename(cfg.data_path))[0])))
+    for position, run in enumerate(entries, start=1):
         try:  # the dataset is read again when it runs: one is in memory at a time
-            _prepare(run)
+            _prepare(run, reads=data)
         except (ConfigError, DataError) as exc:
-            raise type(exc)(f"suite entry {position} ('{cfg.data_path}'): {exc}") from None
+            raise type(exc)(f"suite entry {position} ('{run.data_path}'): {exc}") from None
         key = os.path.abspath(run.out_dir)
         if key == os.path.abspath(out_dir):
-            raise ConfigError(f"suite dataset '{cfg.data_path}' writes to {run.out_dir}, "
+            raise ConfigError(f"suite dataset '{run.data_path}' writes to {run.out_dir}, "
                               f"the suite's own output directory")
         if key in runs:
-            raise ConfigError(f"suite datasets '{runs[key].data_path}' and '{cfg.data_path}' "
+            raise ConfigError(f"suite datasets '{runs[key].data_path}' and '{run.data_path}' "
                               f"both write to {run.out_dir}")
         runs[key] = run
     os.makedirs(out_dir, exist_ok=True)
@@ -479,6 +493,8 @@ def correlate_summary(summary_path: str, out_dir: str) -> CorrelationResult:
     """Analysis-only mode: correlate an existing summary table (for example
     the bundled benchmark fixture) without training anything."""
     _require_directory(out_dir, f"output directory {out_dir}")
+    out_path = os.path.join(out_dir, "correlation.json")
+    _check_overwrites([("the summary", summary_path)], [("the output", out_path)])
     rows = read_summary_csv(summary_path)
     correlation = correlate_rows(rows)
     os.makedirs(out_dir, exist_ok=True)
@@ -488,5 +504,5 @@ def correlate_summary(summary_path: str, out_dir: str) -> CorrelationResult:
         "n_defined": correlation.n_pairs,
         "correlation": asdict(correlation),
     }
-    _write_json(payload, os.path.join(out_dir, "correlation.json"))
+    _write_json(payload, out_path)
     return correlation

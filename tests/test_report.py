@@ -583,6 +583,66 @@ class TestCli:
         assert os.listdir(tmp_path / "d") == ["summary.csv"]
         assert not (tmp_path / "s").exists()
 
+    def test_correlate_output_over_its_summary_exit_one(self, tmp_path, capsys):
+        summary = tmp_path / "d" / "correlation.json"
+        summary.parent.mkdir()
+        with open(FIXTURE, "rb") as fh:
+            summary.write_bytes(fh.read())
+        before = summary.read_bytes()
+        code = main(["correlate", "--summary", str(summary), "--out", str(tmp_path / "d")])
+        assert code == 1
+        assert (f"the output {summary} would overwrite {summary}"
+                in capsys.readouterr().err)
+        assert summary.read_bytes() == before
+
+    def test_suite_output_over_an_entry_data_exit_one(self, linear_csv, tmp_path, capsys,
+                                                      monkeypatch):
+        def no_training(*args, **kwargs):
+            raise AssertionError("train_pool was called")
+
+        monkeypatch.setattr("rashpdp.report.train_pool", no_training)
+        data = tmp_path / "s" / "summary.csv"
+        data.parent.mkdir()
+        with open(linear_csv, "rb") as fh:
+            data.write_bytes(fh.read())
+        before = data.read_bytes()
+        (tmp_path / "run.cfg").write_text("data = s/summary.csv\ntarget = y\nout = o\n",
+                                          encoding="utf-8")
+        (tmp_path / "suite.txt").write_text("run.cfg\n", encoding="utf-8")
+        code = main(["suite", "--configs", str(tmp_path / "suite.txt"),
+                     "--out", str(tmp_path / "s")])
+        assert code == 1
+        assert f"the suite output {data} would overwrite {data}" in capsys.readouterr().err
+        assert data.read_bytes() == before
+        assert os.listdir(tmp_path / "s") == ["summary.csv"]
+        assert not (tmp_path / "o").exists()
+
+    def test_suite_entry_output_over_a_later_entry_data_exit_one(self, linear_csv, tmp_path,
+                                                                 capsys, monkeypatch):
+        def no_training(*args, **kwargs):
+            raise AssertionError("train_pool was called")
+
+        monkeypatch.setattr("rashpdp.report.train_pool", no_training)
+        with open(linear_csv, "rb") as fh:
+            before = fh.read()
+        data = tmp_path / "e" / "summary.csv"
+        data.parent.mkdir()
+        data.write_bytes(before)
+        (tmp_path / "a.csv").write_bytes(before)
+        (tmp_path / "a.cfg").write_text("data = a.csv\ntarget = y\nout = e\n",
+                                        encoding="utf-8")
+        (tmp_path / "b.cfg").write_text("data = e/summary.csv\ntarget = y\nout = f\n",
+                                        encoding="utf-8")
+        (tmp_path / "suite.txt").write_text("a.cfg\nb.cfg\n", encoding="utf-8")
+        code = main(["suite", "--configs", str(tmp_path / "suite.txt"),
+                     "--out", str(tmp_path / "s")])
+        assert code == 1
+        assert (f"suite entry 1 ('{tmp_path / 'a.csv'}'): dataset 'a': the output {data} "
+                f"would overwrite {data}" in capsys.readouterr().err)
+        assert data.read_bytes() == before
+        assert os.listdir(tmp_path / "e") == ["summary.csv"]
+        assert not (tmp_path / "s").exists()
+
     @pytest.fixture(scope="class")
     def seed_42_archive(self, linear_csv, tmp_path_factory):
         """A two-model pool saved by `explain` on linear_csv at --seed 42."""
