@@ -15,9 +15,12 @@ class KNearestNeighborsRegression:
     Features are standardized with training statistics before distance
     computation. A prediction is sum(w * y) / sum(w) over the query's
     min(n_neighbors, training rows) nearest rows, with w = 1 (uniform) or
-    1/distance; a query at distance 0 from some neighbours weighs just those,
-    by 1. Distances come from a BLAS product per chunk of _QUERY_CHUNK
-    queries, whose rounding depends on the chunk's shape.
+    1/distance; a query whose computed distance to some neighbours is exactly
+    0 weighs just those, by 1. Squared distances come from the expansion
+    |q|^2 - 2 q.t + |t|^2, clipped at 0, with a BLAS product per chunk of
+    _QUERY_CHUNK queries whose rounding depends on the chunk's shape. It need
+    not cancel to exactly 0, so a query equal to a training row can be
+    weighted 1/distance among its neighbours, not taken alone.
     """
 
     FITTED = dict(center_=np.float64, scale_=np.float64, train_z_=np.float64, train_y_=np.float64)

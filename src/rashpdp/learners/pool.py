@@ -22,8 +22,10 @@ from .tree import RegressionTree
 class Family:
     """One searched model family. `sample(rng)` draws its hyperparameters, in
     an order that is part of the pool's seed contract; `build(hp, fit_seed)`
-    returns the unfitted model, made from exactly those values;
-    `archive.from_state(model_class, state)` restores an archived one."""
+    returns the unfitted model, made from exactly those values. The archive
+    writes a fitted one's constructor arguments and `FITTED` attributes, read
+    one array at a time through `archive._fields`, and
+    `archive.from_state(model_class, state)` restores it."""
 
     name: str
     model_class: type
