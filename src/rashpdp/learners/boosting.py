@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .tree import RegressionTree, TreeEnsemble
+from .tree import RegressionTree, TreeEnsemble, presort
 
 BOOSTING_MIN_SAMPLES_LEAF = 5
 
@@ -14,7 +14,8 @@ class GradientBoostingRegression(TreeEnsemble):
 
     Final predictions are clamped to the observed training-target range so
     boosted outputs, like plain tree averages, never extrapolate beyond the
-    targets seen in training.
+    targets seen in training. Every stage grows on the same X, so `fit`
+    sorts it once (`presort`) and hands that order to each stage's grower.
     """
 
     FITTED = dict(init_=float, y_min_=float, y_max_=float, **TreeEnsemble.FITTED)
@@ -23,6 +24,8 @@ class GradientBoostingRegression(TreeEnsemble):
         super().__init__(n_estimators)
         if not 0.0 < learning_rate <= 1.0:
             raise ValueError(f"learning_rate must be in (0, 1], got {learning_rate}")
+        if max_depth < 1:
+            raise ValueError(f"max_depth must be >= 1, got {max_depth}")
         self.learning_rate = float(learning_rate)
         self.max_depth = int(max_depth)
         self.init_: float = 0.0
@@ -37,13 +40,14 @@ class GradientBoostingRegression(TreeEnsemble):
         self.y_max_ = float(y.max())
         self.trees_ = []
         pred = np.full(y.shape, self.init_)
+        order = presort(X)
         for _ in range(self.n_estimators):
             residual = y - pred
             tree = RegressionTree(
                 max_depth=self.max_depth,
                 min_samples_leaf=BOOSTING_MIN_SAMPLES_LEAF,
             )
-            pred += self.learning_rate * tree.fit_predict(X, residual)
+            pred += self.learning_rate * tree.fit_predict(X, residual, order=order)
             self.trees_.append(tree)
         return self
 

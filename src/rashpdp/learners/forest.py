@@ -13,12 +13,11 @@ FOREST_MAX_DEPTH = 18
 FOREST_MIN_SAMPLES_LEAF = 3
 
 
-def _resolve_max_features(mode: str, p: int) -> int:
-    if mode == "sqrt":
-        return max(1, round(math.sqrt(p)))
-    if mode == "third":
-        return max(1, round(p / 3))
-    raise ValueError(f"unknown feature subsampling mode '{mode}'")
+# Features drawn per node, from the feature count p, for each subsampling mode.
+MAX_FEATURES = {
+    "sqrt": lambda p: max(1, round(math.sqrt(p))),
+    "third": lambda p: max(1, round(p / 3)),
+}
 
 
 class RandomForestRegression(TreeEnsemble):
@@ -31,6 +30,8 @@ class RandomForestRegression(TreeEnsemble):
 
     def __init__(self, n_estimators: int = 100, max_features: str = "sqrt", seed: int = 0):
         super().__init__(n_estimators)
+        if max_features not in MAX_FEATURES:
+            raise ValueError(f"unknown feature subsampling mode '{max_features}'")
         self.max_features = str(max_features)
         self.seed = int(seed)
 
@@ -44,7 +45,7 @@ class RandomForestRegression(TreeEnsemble):
         X = np.asarray(X, dtype=np.float64)
         y = np.asarray(y, dtype=np.float64)
         n, p = X.shape
-        mtry = _resolve_max_features(self.max_features, p)
+        mtry = MAX_FEATURES[self.max_features](p)
         grown = []
         for t in trees:
             rng = np.random.default_rng(np.random.SeedSequence(self.seed, spawn_key=(t,)))

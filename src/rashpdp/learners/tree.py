@@ -90,97 +90,115 @@ class RegressionTree(TreeEnsemble):
         return self
 
     def fit_predict(self, X: np.ndarray, y: np.ndarray,
-                    rng: np.random.Generator | None = None) -> np.ndarray:
+                    rng: np.random.Generator | None = None,
+                    order: np.ndarray | None = None) -> np.ndarray:
         """Grow the tree as `fit` does and return `predict_many(X)` without
         walking X: each node writes its mean to its rows, and its children,
-        grown after it, overwrite it, so a row ends with its leaf's value."""
+        grown after it, overwrite it, so a row ends with its leaf's value.
+
+        `order` is `presort(X)`, made here if not given: boosting sorts X once
+        for all its stages. A node scores all its candidate features at once,
+        and only the splits that leave `min_samples_leaf` rows on each side.
+        It makes the floating-point operations of sorting and scoring every
+        split at every node, in the same order, so the trees are the same
+        bytes: its mean is `np.add.reduce` of its targets over its row count,
+        which is `np.mean` of float64, its SSE sums `dev * dev`, which is
+        `dev ** 2`, and Σy and Σy² are running sums in sorted order."""
         X = np.asarray(X, dtype=np.float64)
         y = np.asarray(y, dtype=np.float64)
         n, p = X.shape
         if self.max_features is not None and rng is None:
             raise ValueError("feature subsampling requires an rng")
+        if order is None:
+            order = presort(X)
+        max_depth, leaf = self.max_depth, self.min_samples_leaf
+        draw = self.max_features if self.max_features is not None and self.max_features < p else 0
+        columns = np.arange(p)[:, None]  # each candidate's column of X, when every feature is one
+        ysq = np.stack([y, y * y])  # one gather and one cumsum give Σy and Σy²
+        counts = np.arange(n + 1, dtype=np.float64)  # a split's row counts, sliced
 
-        feature: list[int] = []
-        threshold: list[float] = []
-        left: list[int] = []
-        right: list[int] = []
-        value: list[float] = []
-
-        def new_node() -> int:
-            feature.append(-1)
-            threshold.append(0.0)
-            left.append(-1)
-            right.append(-1)
-            value.append(0.0)
-            return len(feature) - 1
-
+        feature, threshold, left, right, value = [-1], [0.0], [-1], [-1], [0.0]
         # Each feature's rows by increasing x, ties in row order. A node keeps
         # its rows in row order, so filtering its parent's lists by its rows
         # gives the stable sort of its own rows: no node sorts again.
-        root = new_node()
-        go = np.zeros(n, dtype=bool)
+        # A node too deep or too small to split gets no sorted rows (None).
+        go = np.empty(n, dtype=bool)
         fitted = np.empty(n, dtype=np.float64)
-        stack = [(root, np.arange(n, dtype=np.intp), np.argsort(X.T, axis=1, kind="stable"), 0)]
+        stack = [(0, np.arange(n, dtype=np.intp), order if p and n >= 2 * leaf else None, 0)]
         while stack:
             node, rows, order, depth = stack.pop()
+            size = rows.size
             ys = y[rows]
-            mean = ys.mean()
-            value[node] = fitted[rows] = float(mean)
-            if depth >= self.max_depth or rows.size < 2 * self.min_samples_leaf:
+            # np.mean's float64 sum and division, and np.sum of (ys - mean) ** 2
+            mean = float(np.add.reduce(ys)) / size
+            value[node] = fitted[rows] = mean
+            if order is None:
                 continue
-            node_sse = float(np.sum((ys - mean) ** 2))
+            dev = ys - mean
+            node_sse = float(np.add.reduce(dev * dev))
             if node_sse <= 0.0:
                 continue
 
-            if self.max_features is not None and self.max_features < p:
-                candidates = np.sort(rng.choice(p, size=self.max_features, replace=False))
+            if draw:
+                candidates = rng.choice(p, size=draw, replace=False)
+                candidates.sort()
+                ranked = order[candidates]
+                xs = X[ranked, candidates[:, None]]
             else:
-                candidates = np.arange(p)
-            if not candidates.size:
-                continue
+                ranked = order
+                xs = X[ranked, columns]
 
-            # Score every candidate feature at once, one row per feature.
-            ranked = order[candidates]
-            xs = X[ranked, candidates[:, None]]
-            ys_sorted = y[ranked]
-            cum = np.cumsum(ys_sorted, axis=1)
-            cumsq = np.cumsum(ys_sorted * ys_sorted, axis=1)
-            n_left = np.arange(1, rows.size)
-            n_right = rows.size - n_left
-            valid = xs[:, 1:] > xs[:, :-1]
-            valid &= (n_left >= self.min_samples_leaf) & (n_right >= self.min_samples_leaf)
-            sse_left = cumsq[:, :-1] - cum[:, :-1] ** 2 / n_left
-            sse_right = ((cumsq[:, -1:] - cumsq[:, :-1])
-                         - (cum[:, -1:] - cum[:, :-1]) ** 2 / n_right)
-            child_sse = sse_left + sse_right
-            child_sse[~valid] = np.inf
-            k = np.argmin(child_sse, axis=1)
-            best = child_sse[np.arange(k.size), k]
-            # the first feature with the least SSE strictly below the node's
-            c = int(np.argmin(np.where(best < node_sse, best, np.inf)))
-            if not best[c] < node_sse:
+            # Score, one row per candidate feature, the splits after sorted
+            # position k that leave `leaf` rows on each side: k = leaf - 1 .. size - leaf - 1.
+            sums = ysq.take(ranked, 1).cumsum(2)  # Σy, Σy²; candidate; position
+            lefts = sums[:, :, leaf - 1:size - leaf]
+            rights = sums[:, :, -1:] - lefts
+            n_left, n_right = counts[leaf:size - leaf + 1], counts[size - leaf:leaf - 1:-1]
+            child_sse = lefts[1] - lefts[0] ** 2 / n_left
+            child_sse += rights[1] - rights[0] ** 2 / n_right
+            child_sse[~(xs[:, leaf:size - leaf + 1] > xs[:, leaf - 1:size - leaf])] = np.inf
+            # The first least SSE, in candidate then position order, is the
+            # first feature's with the least SSE, at its first position with it.
+            # argmin takes a NaN first; a feature with one must lose, as to a
+            # per-feature argmin and a test of its score against the node's.
+            c, at = divmod(int(child_sse.argmin()), child_sse.shape[1])
+            if child_sse[c, at] != child_sse[c, at]:
+                child_sse[np.isnan(child_sse).any(1)] = np.inf
+                c, at = divmod(int(child_sse.argmin()), child_sse.shape[1])
+            if not child_sse[c, at] < node_sse:
                 continue
-            best_feat = int(candidates[c])
-            best_thr = float((xs[c, k[c]] + xs[c, k[c] + 1]) / 2.0)
+            best_feat = int(candidates[c]) if draw else c
+            at += leaf - 1
+            best_thr = float((xs[c, at] + xs[c, at + 1]) / 2.0)
 
-            go_left = X[rows, best_feat] <= best_thr
+            go_left = X[:, best_feat][rows] <= best_thr
             left_rows = rows[go_left]
             right_rows = rows[~go_left]
             # Midpoint thresholds guarantee both sides are non-empty, but a
             # degenerate float midpoint could collapse one side; bail out then.
             if left_rows.size == 0 or right_rows.size == 0:
                 continue
-            feature[node] = best_feat
-            threshold[node] = best_thr
-            lid = new_node()
-            rid = new_node()
-            left[node] = lid
-            right[node] = rid
-            go[left_rows] = True
-            goes_left = go[order]
-            go[left_rows] = False
-            stack.append((rid, right_rows, order[~goes_left].reshape(p, -1), depth + 1))
-            stack.append((lid, left_rows, order[goes_left].reshape(p, -1), depth + 1))
+            lid = len(feature)
+            feature[node], threshold[node], left[node], right[node] = best_feat, best_thr, lid, lid + 1
+            feature += (-1, -1)
+            threshold += (0.0, 0.0)
+            left += (-1, -1)
+            right += (-1, -1)
+            value += (0.0, 0.0)
+            depth += 1
+            left_splits = depth < max_depth and left_rows.size >= 2 * leaf
+            right_splits = depth < max_depth and right_rows.size >= 2 * leaf
+            left_order = right_order = None
+            if left_splits or right_splits:
+                # go holds this node's rows' sides; only its own children read them
+                go[rows] = go_left
+                goes_left = go[order]
+                if left_splits:
+                    left_order = order[goes_left].reshape(p, -1)
+                if right_splits:
+                    right_order = order[~goes_left].reshape(p, -1)
+            stack.append((lid + 1, right_rows, right_order, depth))
+            stack.append((lid, left_rows, left_order, depth))
 
         self.feature = np.asarray(feature, dtype=np.intp)
         self.threshold = np.asarray(threshold, dtype=np.float64)
@@ -195,6 +213,12 @@ class RegressionTree(TreeEnsemble):
 
 
 TreeEnsemble.FITTED = dict(trees_=RegressionTree)
+
+
+def presort(X: np.ndarray) -> np.ndarray:
+    """Each feature's rows of X by increasing value, ties in row order: one
+    row of row indices per column, the `order` that `fit_predict` takes."""
+    return np.argsort(np.asarray(X, dtype=np.float64).T, axis=1, kind="stable")
 
 
 class GridWalk:

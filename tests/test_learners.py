@@ -13,7 +13,8 @@ import numpy as np
 import pytest
 
 from rashpdp import parallel
-from rashpdp.data import split
+from rashpdp.cli import main
+from rashpdp.data import save_csv, split
 from rashpdp.learners import pool as pool_module
 from rashpdp.learners import (
     FAMILIES,
@@ -177,6 +178,16 @@ def test_knn_neighbour_count_above_the_training_rows_is_clamped(weights):
     above = KNearestNeighborsRegression(25, weights).fit(X, y)
     equal = KNearestNeighborsRegression(9, weights).fit(X, y)
     assert above.predict_many(queries).tobytes() == equal.predict_many(queries).tobytes()
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: GradientBoostingRegression(max_depth=0), "max_depth must be >= 1, got 0"),
+    (lambda: RandomForestRegression(max_features="bogus"),
+     "unknown feature subsampling mode 'bogus'"),
+], ids=["boosting depth 0", "forest mode bogus"])
+def test_constructor_rejects_what_fit_would(make, message):
+    with pytest.raises(ValueError, match=message):
+        make()
 
 
 class TestRandomForest:
@@ -397,7 +408,37 @@ BROKEN_TREES = {
 }
 
 
+# (family, hyperparameter, value, error): a value its constructor refuses, set
+# in both the model's hyperparameters and its state
+UNBUILDABLE = {
+    "boosting depth 0": ("GradientBoosting", "max_depth", 0,
+                         "GradientBoostingRegression field 'n_estimators, learning_rate, "
+                         "max_depth': max_depth must be >= 1, got 0"),
+    "forest mode bogus": ("RandomForest", "max_features", "bogus",
+                          "RandomForestRegression field 'n_estimators, max_features, seed': "
+                          "unknown feature subsampling mode 'bogus'"),
+}
+
+
 class TestPoolArchive:
+    @pytest.mark.parametrize("family, key, value, error", UNBUILDABLE.values(),
+                             ids=UNBUILDABLE.keys())
+    def test_hyperparameter_the_constructor_refuses_exits_three(
+            self, archive_payload, tmp_path, capsys, family, key, value, error):
+        payload = copy.deepcopy(archive_payload)
+        index, entry = next((i, m) for i, m in enumerate(payload["models"])
+                            if m["family"] == family)
+        entry["hyperparameters"][key] = entry["state"][key] = value
+        path = tmp_path / "pool.json"
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        data = tmp_path / "data.csv"
+        save_csv(make_linear(n_rows=60, noise=0.2, seed=3), data)
+        code = main(["explain", "--data", str(data), "--target", "y", "--load-pool", str(path),
+                     "--out", str(tmp_path / "out")])
+        assert code == 3
+        assert f"pool archive {path}: model {index}: {error}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("family, keys, change, error", BROKEN_TREES.values(),
                              ids=BROKEN_TREES.keys())
     def test_broken_tree_fails_on_load(self, archive_payload, tmp_path, monkeypatch,

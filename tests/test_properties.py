@@ -11,11 +11,14 @@ from hypothesis import given, settings, strategies as st
 from rashpdp.data import Dataset, feature_grid, split
 from rashpdp.learners import (GradientBoostingRegression, KNearestNeighborsRegression,
                               RandomForestRegression, RegressionTree)
+from rashpdp.learners.boosting import BOOSTING_MIN_SAMPLES_LEAF
+from rashpdp.learners.forest import FOREST_MAX_DEPTH, FOREST_MIN_SAMPLES_LEAF, MAX_FEATURES
 from rashpdp.learners.knn import _QUERY_CHUNK
-from rashpdp.learners.tree import GRID_CHUNK
+from rashpdp.learners.tree import GRID_CHUNK, presort
 from rashpdp.metrics import coverage_rate, mwci
 from rashpdp.pdp import RashomonPdpResult, bootstrap_bands
 from rashpdp.rashomon import form_set
+from rashpdp.synthetic import make_friedman
 
 from conftest import fit_per_node, knn_predict_reference, stub_pool
 
@@ -284,6 +287,49 @@ def test_presorted_fit_equals_per_node_grower(case):
     for name in RegressionTree.FITTED:
         assert getattr(grown, name).tobytes() == getattr(oracle, name).tobytes(), name
     assert rng.random() == oracle_rng.random()
+
+
+def same_trees(grown, oracle):
+    for name in RegressionTree.FITTED:
+        assert getattr(grown, name).tobytes() == getattr(oracle, name).tobytes(), name
+
+
+# Above 128 rows a node's mean and SSE leave numpy's first pairwise-sum block,
+# where their rounding path changes: `tree_fits` draws 30 rows at most.
+@pytest.mark.parametrize("mode", sorted(MAX_FEATURES))
+def test_forest_trees_equal_per_node_grower_on_300_rows(mode):
+    ds = make_friedman(n_rows=300, seed=3)
+    X, y = ds.features, ds.target
+    n, p = X.shape
+    forest = RandomForestRegression(n_estimators=6, max_features=mode, seed=9).fit(X, y)
+    for t, tree in enumerate(forest.trees_):
+        rng = np.random.default_rng(np.random.SeedSequence(9, spawn_key=(t,)))
+        rows = rng.integers(0, n, size=n)
+        oracle = RegressionTree(FOREST_MAX_DEPTH, FOREST_MIN_SAMPLES_LEAF,
+                                MAX_FEATURES[mode](p))
+        same_trees(tree, fit_per_node(oracle, X[rows], y[rows], rng))
+
+
+def test_boosting_stages_equal_per_node_grower_on_300_rows():
+    ds = make_friedman(n_rows=300, seed=4)
+    X, y = ds.features, ds.target
+    model = GradientBoostingRegression(n_estimators=12, learning_rate=0.3,
+                                       max_depth=4).fit(X, y)
+    pred = np.full(y.shape, float(y.mean()))
+    for stage in model.trees_:
+        oracle = fit_per_node(RegressionTree(4, BOOSTING_MIN_SAMPLES_LEAF), X, y - pred)
+        same_trees(stage, oracle)
+        pred += 0.3 * oracle.predict_many(X)
+
+
+@pytest.mark.parametrize("max_features", [None, 3])
+def test_fit_predict_with_presorted_order_equals_sorting_itself(max_features):
+    ds = make_friedman(n_rows=300, seed=5)
+    X, y = ds.features, ds.target
+    given_order, itself = (RegressionTree(max_features=max_features) for _ in range(2))
+    fitted = given_order.fit_predict(X, y, np.random.default_rng(1), order=presort(X))
+    assert fitted.tobytes() == itself.fit_predict(X, y, np.random.default_rng(1)).tobytes()
+    same_trees(given_order, itself)
 
 
 @COMMON
