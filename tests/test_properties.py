@@ -322,6 +322,19 @@ def test_boosting_stages_equal_per_node_grower_on_300_rows():
         pred += 0.3 * oracle.predict_many(X)
 
 
+def test_feature_whose_scores_hold_nan_loses_as_with_the_per_node_grower():
+    # Σy² is just below the float maximum in feature 0's sorted order (rows 0,
+    # 1, 2) and inf in feature 1's (rows 0, 2, 1), so feature 1's scores hold
+    # NaN: the per-feature argmin drops it and splits on feature 0.
+    X = np.array([[0.0, 0.0], [1.0, 2.0], [2.0, 1.0]])
+    y = np.array([8.533894350684834e153, -5.618440293253383e153, 8.681882823945961e153])
+    with np.errstate(all="ignore"):
+        grown = RegressionTree(max_depth=2).fit(X, y)
+        oracle = fit_per_node(RegressionTree(max_depth=2), X, y)
+    assert grown.feature.tolist() == [0, 0, -1, -1, -1]
+    same_trees(grown, oracle)
+
+
 @pytest.mark.parametrize("max_features", [None, 3])
 def test_fit_predict_with_presorted_order_equals_sorting_itself(max_features):
     ds = make_friedman(n_rows=300, seed=5)
