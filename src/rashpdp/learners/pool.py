@@ -12,7 +12,7 @@ import numpy as np
 from ..data import Dataset, Split
 from ..parallel import fork_map
 from .boosting import GradientBoostingRegression
-from .forest import RandomForestRegression
+from .forest import FOREST_UNIT_TREES, RandomForestRegression
 from .knn import KNearestNeighborsRegression
 from .linear import RidgeRegression
 from .tree import RegressionTree
@@ -62,9 +62,6 @@ FAMILIES = tuple(REGISTRY)
 
 DEFAULT_MAX_MODELS = 20
 DEFAULT_MAX_RUNTIME_SECS = 360.0
-# Trees per unit of work when a forest is fitted. On two cores, ranges of 32
-# or 64 trees trained a pool faster than halves of a forest or single trees.
-FOREST_UNIT_TREES = 32
 
 
 @dataclass(frozen=True)
@@ -163,8 +160,7 @@ def train_pool(ds: Dataset, sp: Split, budget: SearchBudget,
         model = family.build(hp, fit_seed)
         ranges = [None]
         if isinstance(model, RandomForestRegression):
-            ranges = [range(t, min(t + FOREST_UNIT_TREES, model.n_estimators))
-                      for t in range(0, model.n_estimators, FOREST_UNIT_TREES)]
+            ranges = model.units()
         drawn.append((i, family, hp, model, ranges))
     units = [(model, trees) for *_, model, ranges in drawn for trees in ranges]
     labels = [f"model {i} ({family.name})" for i, family, *_, ranges in drawn for _ in ranges]

@@ -7,6 +7,10 @@ import numpy as np
 # Trees that one GridWalk takes side by side: each level's numpy calls serve
 # them all. 8 measured best on the benchmark's all-feature profile.
 GRID_CHUNK = 8
+# The grower scores a step's nodes in groups of like size, padded to each
+# group's largest: a group ends where padding the rest to it would cost more
+# (node, candidate, position) cells than this, about one pass's own cost.
+GROUP_CELLS = 4000
 
 
 class TreeEnsemble:
@@ -52,9 +56,9 @@ class RegressionTree(TreeEnsemble):
     equivalent to maximizing variance reduction. Thresholds are midpoints
     between consecutive distinct sorted values; rows with x <= threshold go
     left. Feature scan order breaks ties, so fitting is fully deterministic
-    for a given feature-candidate sequence. Each feature is sorted once per
-    tree and a split's children inherit their sorted rows, which grows the
-    same trees, byte for byte, as sorting every feature at every node.
+    for a given feature-candidate sequence. `grow` grows it, alone or in
+    lockstep with other trees, into the same trees, byte for byte, as
+    sorting and scoring every candidate feature at every node.
     A tree is the one-tree `TreeEnsemble` of itself.
     """
 
@@ -86,125 +90,21 @@ class RegressionTree(TreeEnsemble):
     def fit(self, X: np.ndarray, y: np.ndarray,
             rng: np.random.Generator | None = None) -> RegressionTree:
         """Grow the tree on (X, y); `rng` drives per-node feature subsampling."""
-        self.fit_predict(X, y, rng)
+        X = np.asarray(X, dtype=np.float64)
+        grow([self], X[None], np.asarray(y, dtype=np.float64)[None], [rng])
         return self
 
     def fit_predict(self, X: np.ndarray, y: np.ndarray,
                     rng: np.random.Generator | None = None,
                     order: np.ndarray | None = None) -> np.ndarray:
         """Grow the tree as `fit` does and return `predict_many(X)` without
-        walking X: each node writes its mean to its rows, and its children,
-        grown after it, overwrite it, so a row ends with its leaf's value.
-
-        `order` is `presort(X)`, made here if not given: boosting sorts X once
-        for all its stages. A node scores all its candidate features at once,
-        and only the splits that leave `min_samples_leaf` rows on each side.
-        It makes the floating-point operations of sorting and scoring every
-        split at every node, in the same order, so the trees are the same
-        bytes: its mean is `np.add.reduce` of its targets over its row count,
-        which is `np.mean` of float64, its SSE sums `dev * dev`, which is
-        `dev ** 2`, and Σy and Σy² are running sums in sorted order."""
+        walking X: each leaf writes its value to its rows when the grower
+        makes it. Only this builds that vector; `fit` does not. `order` is
+        `presort(X)`, made here if not given: boosting sorts X once for all
+        its stages."""
         X = np.asarray(X, dtype=np.float64)
-        y = np.asarray(y, dtype=np.float64)
-        n, p = X.shape
-        if self.max_features is not None and rng is None:
-            raise ValueError("feature subsampling requires an rng")
-        if order is None:
-            order = presort(X)
-        max_depth, leaf = self.max_depth, self.min_samples_leaf
-        draw = self.max_features if self.max_features is not None and self.max_features < p else 0
-        columns = np.arange(p)[:, None]  # each candidate's column of X, when every feature is one
-        ysq = np.stack([y, y * y])  # one gather and one cumsum give Σy and Σy²
-        counts = np.arange(n + 1, dtype=np.float64)  # a split's row counts, sliced
-
-        feature, threshold, left, right, value = [-1], [0.0], [-1], [-1], [0.0]
-        # Each feature's rows by increasing x, ties in row order. A node keeps
-        # its rows in row order, so filtering its parent's lists by its rows
-        # gives the stable sort of its own rows: no node sorts again.
-        # A node too deep or too small to split gets no sorted rows (None).
-        go = np.empty(n, dtype=bool)
-        fitted = np.empty(n, dtype=np.float64)
-        stack = [(0, np.arange(n, dtype=np.intp), order if p and n >= 2 * leaf else None, 0)]
-        while stack:
-            node, rows, order, depth = stack.pop()
-            size = rows.size
-            ys = y[rows]
-            # np.mean's float64 sum and division, and np.sum of (ys - mean) ** 2
-            mean = float(np.add.reduce(ys)) / size
-            value[node] = fitted[rows] = mean
-            if order is None:
-                continue
-            dev = ys - mean
-            node_sse = float(np.add.reduce(dev * dev))
-            if node_sse <= 0.0:
-                continue
-
-            if draw:
-                candidates = rng.choice(p, size=draw, replace=False)
-                candidates.sort()
-                ranked = order[candidates]
-                xs = X[ranked, candidates[:, None]]
-            else:
-                ranked = order
-                xs = X[ranked, columns]
-
-            # Score, one row per candidate feature, the splits after sorted
-            # position k that leave `leaf` rows on each side: k = leaf - 1 .. size - leaf - 1.
-            sums = ysq.take(ranked, 1).cumsum(2)  # Σy, Σy²; candidate; position
-            lefts = sums[:, :, leaf - 1:size - leaf]
-            rights = sums[:, :, -1:] - lefts
-            n_left, n_right = counts[leaf:size - leaf + 1], counts[size - leaf:leaf - 1:-1]
-            child_sse = lefts[1] - lefts[0] ** 2 / n_left
-            child_sse += rights[1] - rights[0] ** 2 / n_right
-            child_sse[~(xs[:, leaf:size - leaf + 1] > xs[:, leaf - 1:size - leaf])] = np.inf
-            # The first least SSE, in candidate then position order, is the
-            # first feature's with the least SSE, at its first position with it.
-            # argmin takes a NaN first; a feature with one must lose, as to a
-            # per-feature argmin and a test of its score against the node's.
-            c, at = divmod(int(child_sse.argmin()), child_sse.shape[1])
-            if child_sse[c, at] != child_sse[c, at]:
-                child_sse[np.isnan(child_sse).any(1)] = np.inf
-                c, at = divmod(int(child_sse.argmin()), child_sse.shape[1])
-            if not child_sse[c, at] < node_sse:
-                continue
-            best_feat = int(candidates[c]) if draw else c
-            at += leaf - 1
-            best_thr = float((xs[c, at] + xs[c, at + 1]) / 2.0)
-
-            go_left = X[:, best_feat][rows] <= best_thr
-            left_rows = rows[go_left]
-            right_rows = rows[~go_left]
-            # Midpoint thresholds guarantee both sides are non-empty, but a
-            # degenerate float midpoint could collapse one side; bail out then.
-            if left_rows.size == 0 or right_rows.size == 0:
-                continue
-            lid = len(feature)
-            feature[node], threshold[node], left[node], right[node] = best_feat, best_thr, lid, lid + 1
-            feature += (-1, -1)
-            threshold += (0.0, 0.0)
-            left += (-1, -1)
-            right += (-1, -1)
-            value += (0.0, 0.0)
-            depth += 1
-            left_splits = depth < max_depth and left_rows.size >= 2 * leaf
-            right_splits = depth < max_depth and right_rows.size >= 2 * leaf
-            left_order = right_order = None
-            if left_splits or right_splits:
-                # go holds this node's rows' sides; only its own children read them
-                go[rows] = go_left
-                goes_left = go[order]
-                if left_splits:
-                    left_order = order[goes_left].reshape(p, -1)
-                if right_splits:
-                    right_order = order[~goes_left].reshape(p, -1)
-            stack.append((lid + 1, right_rows, right_order, depth))
-            stack.append((lid, left_rows, left_order, depth))
-
-        self.feature = np.asarray(feature, dtype=np.intp)
-        self.threshold = np.asarray(threshold, dtype=np.float64)
-        self.left = np.asarray(left, dtype=np.intp)
-        self.right = np.asarray(right, dtype=np.intp)
-        self.value = np.asarray(value, dtype=np.float64)
+        (fitted,) = grow([self], X[None], np.asarray(y, dtype=np.float64)[None], [rng],
+                         None if order is None else order[None], predict=True)
         return fitted
 
     def _combine(self, predictions) -> np.ndarray:
@@ -219,6 +119,237 @@ def presort(X: np.ndarray) -> np.ndarray:
     """Each feature's rows of X by increasing value, ties in row order: one
     row of row indices per column, the `order` that `fit_predict` takes."""
     return np.argsort(np.asarray(X, dtype=np.float64).T, axis=1, kind="stable")
+
+
+def grow(trees: list[RegressionTree], X: np.ndarray, y: np.ndarray, rngs: list,
+         order: np.ndarray | None = None, predict: bool = False) -> np.ndarray | None:
+    """Grow `trees`, which share their settings, tree t on (X[t], y[t]) with
+    candidate features drawn from rngs[t], and set their node arrays. With
+    `predict`, return each tree's in-sample predictions, one row per tree:
+    each row gets its leaf's value. `order` holds each tree's `presort`, made
+    here if not given.
+
+    The trees grow in lockstep, each depth first as it would alone. A node
+    is made with its mean, and with its SSE if it is not too deep or too
+    small to split; one that cannot split is a leaf then and takes no step.
+    Each step takes the next node to score from every tree's stack, so each
+    tree draws its candidates from its own rng in the order that growing it
+    alone would. The step's nodes are scored in groups of like size, each in
+    one end-padded (node, candidate, position) pass, and each node splits
+    where it scores best, if that beats its SSE.
+
+    Splits minimize the summed SSE of the two children at midpoints between
+    consecutive distinct values, with at least `min_samples_leaf` rows on
+    each side; the first least SSE in candidate then position order wins.
+    Without feature subsampling each feature is sorted once per tree and a
+    split's children filter their parent's sorted rows; with it, a node
+    sorts its drawn candidates' sort keys, each row's rank in its tree's
+    order. Either gives the node's stable sort by x. The floating-point
+    operations are those of sorting and scoring every candidate at every
+    node, in the same order, so the trees are the same bytes as grown one
+    node at a time: a node's mean is `np.add.reduce` of its targets in row
+    order over its row count, which is `np.mean` of float64, its SSE sums
+    `dev * dev`, which is `dev ** 2`, and Σy and Σy² are running sums in
+    sorted order."""
+    if not trees:
+        return None
+    T, n, p = X.shape
+    tree = trees[0]
+    max_depth, leaf = tree.max_depth, tree.min_samples_leaf
+    if tree.max_features is not None and None in rngs:
+        raise ValueError("feature subsampling requires an rng")
+    draw = tree.max_features if tree.max_features is not None and tree.max_features < p else 0
+    if order is None:
+        order = np.argsort(X.transpose(0, 2, 1), axis=2, kind="stable")
+    # Tree t's row r is row t * n + r of all the trees' rows. Row N pads a
+    # node's positions up to its group's largest node. Its y of 0 leaves the
+    # node's Σy and Σy² at the end of the padded positions, and a position
+    # past the node's rows scores inf whatever its x.
+    N = T * n
+    XT = np.zeros((p, N + 1))
+    XT[:, :N] = X.reshape(N, p).T
+    ysq = np.zeros((2, N + 1))  # one gather and one cumsum give Σy and Σy²
+    ysq[0, :N] = y.ravel()
+    np.multiply(ysq[0], ysq[0], out=ysq[1])
+    targets = ysq[0]
+    counts = np.arange(n + 1, dtype=np.float64)  # a split's row counts, sliced
+    offsets = np.arange(p)[:, None] * (N + 1)  # where each feature's x start in XT
+    if draw:
+        # A row's key for feature f: its rank in its tree's order of f above
+        # the row, which the low bits keep. The pad row's key sorts last.
+        shift = N.bit_length()
+        ranks = np.empty((p, T, n), dtype=np.int64)
+        ranks[np.arange(p)[:, None, None], np.arange(T)[:, None], order.transpose(1, 0, 2)] = \
+            np.arange(n) << shift
+        key = np.empty((p, N + 1), dtype=np.int64)
+        key[:, :N] = ranks.reshape(p, N) | np.arange(N)
+        key[:, N] = n << shift | N
+    elif T > 1:
+        order = order + (np.arange(T) * n)[:, None, None]
+    fitted = np.empty(N) if predict else None
+    go = np.empty(N, dtype=bool)  # a split node's rows' sides
+    nodes = [([-1], [0.0], [-1], [-1], [0.0]) for _ in range(T)]  # as RegressionTree.FITTED
+    stacks = [[] for _ in range(T)]
+
+    def make(new):
+        """Set the new nodes' means, and stack each that can split, with its
+        SSE, to be scored. A new node is (tree, node, rows in row order, each
+        feature's rows sorted or None, depth). Only nodes that can split
+        without feature subsampling keep sorted rows."""
+        for t, node, rows, sorted_rows, depth in new:
+            ys = targets[rows]
+            mean = float(np.add.reduce(ys)) / rows.size
+            nodes[t][4][node] = mean
+            if depth < max_depth and rows.size >= 2 * leaf and p:
+                dev = ys - mean
+                sse = float(np.add.reduce(dev * dev))
+                if not sse <= 0.0:
+                    stacks[t].append((t, node, rows, sorted_rows, depth, sse))
+                    continue
+            if predict:
+                fitted[rows] = mean
+
+    def padded(arrays, size):
+        """The group's arrays stacked, each padded along its last axis with
+        the pad row to the group's largest node's size."""
+        stacked = np.full((len(arrays), *arrays[0].shape[:-1], size[0]), N)
+        inside = np.arange(size[0]) < np.array(size).reshape(-1, *[1] * arrays[0].ndim)
+        stacked[np.broadcast_to(inside, stacked.shape)] = np.concatenate(
+            [a.ravel() for a in arrays])
+        return stacked
+
+    def split(group, new):
+        """Score the group's nodes, largest first, split each where it scores
+        best if that beats its SSE, and add its children to `new`."""
+        m = len(group)
+        size = [entry[2].size for entry in group]
+        L = size[0]
+        # Each node's rows sorted by each candidate (node; candidate; position)
+        if draw:
+            candidates = np.array([rngs[entry[0]].choice(p, size=draw, replace=False)
+                                   for entry in group])
+            candidates.sort(1)
+            columns = candidates[:, :, None] * (N + 1)
+            rows = group[0][2][None] if m == 1 else padded([entry[2] for entry in group], size)
+            keys = key.take(rows[:, None, :] + columns)
+            keys.sort(2)
+            ranked = keys & ((1 << shift) - 1)
+        else:
+            columns = offsets
+            ranked = group[0][3][None] if m == 1 else padded([entry[3] for entry in group], size)
+        xs = XT.take(ranked + columns)
+
+        # Score the split after each sorted position k that leaves `leaf`
+        # rows on each side of the group's largest node; for a smaller node,
+        # the positions that leave it fewer than `leaf` rows on the right
+        # score inf.
+        sums = ysq.take(ranked, 1)
+        sums.cumsum(3, out=sums)  # Σy, Σy²; node; candidate; position
+        lefts = sums[..., leaf - 1:L - leaf]
+        rights = sums[..., -1:] - lefts
+        n_left = counts[leaf:L - leaf + 1]
+        valid = xs[..., leaf:L - leaf + 1] > xs[..., leaf - 1:L - leaf]
+        if size[-1] == L:
+            n_right = counts[L - leaf:leaf - 1:-1]
+        else:
+            n_right = np.array(size)[:, None, None] - n_left
+            valid &= n_right >= leaf
+            n_right = np.maximum(n_right, 1.0)  # to no effect
+        child_sse = lefts[1] - lefts[0] ** 2 / n_left
+        child_sse += rights[1] - rights[0] ** 2 / n_right
+        child_sse[~valid] = np.inf
+        child_sse = child_sse.reshape(m, -1)
+        width = L - 2 * leaf + 1
+        bests = [int(child_sse.argmin())] if m == 1 else child_sse.argmin(1).tolist()
+        for i, (t, node, rows, sorted_rows, depth, node_sse), best in zip(range(m), group, bests):
+            # The first least SSE, in candidate then position order, is the
+            # first candidate's with the least SSE, at its first position with
+            # it. argmin takes a NaN first; a candidate with one must lose, as
+            # to a per-candidate argmin and a test of its score against the node's.
+            score = float(child_sse[i, best])
+            if score != score:
+                scores = child_sse[i].reshape(-1, width)
+                scores[np.isnan(scores).any(1)] = np.inf
+                best = int(scores.argmin())
+                score = float(child_sse[i, best])
+            if not score < node_sse:
+                if predict:
+                    fitted[rows] = nodes[t][4][node]
+                continue
+            c, at = divmod(best, width)
+            at += leaf - 1
+            feature = int(candidates[i, c]) if draw else c
+            threshold = float((xs[i, c, at] + xs[i, c, at + 1]) / 2.0)
+
+            go_left = XT[feature][rows] <= threshold
+            left_rows = rows[go_left]
+            right_rows = rows[~go_left]
+            # Midpoint thresholds guarantee both sides are non-empty, but a
+            # degenerate float midpoint could collapse one side; bail out then.
+            if left_rows.size == 0 or right_rows.size == 0:
+                if predict:
+                    fitted[rows] = nodes[t][4][node]
+                continue
+            tree_feature, tree_threshold, tree_left, tree_right, tree_value = nodes[t]
+            lid = len(tree_feature)
+            tree_feature[node] = feature
+            tree_threshold[node] = threshold
+            tree_left[node] = lid
+            tree_right[node] = lid + 1
+            tree_feature += (-1, -1)
+            tree_threshold += (0.0, 0.0)
+            tree_left += (-1, -1)
+            tree_right += (-1, -1)
+            tree_value += (0.0, 0.0)
+            depth += 1
+            left_splits = depth < max_depth and left_rows.size >= 2 * leaf
+            right_splits = depth < max_depth and right_rows.size >= 2 * leaf
+            left_sorted = right_sorted = None
+            if sorted_rows is not None and (left_splits or right_splits):
+                # go holds this node's rows' sides; only its own children read
+                # them. Filtering the node's sorted rows keeps them sorted.
+                go[rows] = go_left
+                goes_left = go[sorted_rows]
+                if left_splits:
+                    left_sorted = sorted_rows[goes_left].reshape(p, -1)
+                if right_splits:
+                    right_sorted = sorted_rows[~goes_left].reshape(p, -1)
+            # the left child is stacked last, so it is scored first
+            new += ((t, lid + 1, right_rows, right_sorted, depth),
+                    (t, lid, left_rows, left_sorted, depth))
+
+    make([(t, 0, np.arange(t * n, t * n + n), None if draw else order[t], 0) for t in range(T)])
+    while True:
+        step = [stack.pop() for stack in stacks if stack]
+        if not step:
+            break
+        new = []
+        if len(step) == 1:
+            split(step, new)
+        else:
+            step.sort(key=lambda entry: -entry[2].size)
+            for first, end in _groups([entry[2].size for entry in step], draw or p):
+                split(step[first:end], new)
+        if new:
+            make(new)
+
+    for tree, tree_nodes in zip(trees, nodes):
+        for (name, dtype), values in zip(RegressionTree.FITTED.items(), tree_nodes):
+            setattr(tree, name, np.asarray(values, dtype=dtype))
+    return None if fitted is None else fitted.reshape(T, n)
+
+
+def _groups(sizes: list[int], width: int):
+    """Runs (first, end) of nodes with these sizes, largest first, to pad to
+    their first's size, `width` cells a position: a run ends before a node
+    when padding the rest to the run's size would cost more cells than
+    GROUP_CELLS, about one pass's own cost."""
+    first = 0
+    for i, size in enumerate(sizes):
+        if (sizes[first] - size) * width * (len(sizes) - i) > GROUP_CELLS:
+            yield first, i
+            first = i
+    yield first, len(sizes)
 
 
 class GridWalk:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import contextlib
 import copy
 
 import numpy as np
@@ -308,6 +309,74 @@ def test_forest_trees_equal_per_node_grower_on_300_rows(mode):
         oracle = RegressionTree(FOREST_MAX_DEPTH, FOREST_MIN_SAMPLES_LEAF,
                                 MAX_FEATURES[mode](p))
         same_trees(tree, fit_per_node(oracle, X[rows], y[rows], rng))
+
+
+def forest_case(n, p, tied, kind, n_trees, cuts, mode, seed):
+    """A forest, its data and its trees cut into ranges at `cuts`. `tied`
+    columns hold a few integers. `kind` "overflow" targets make (Σy)²
+    overflow, so scores hold inf and NaN; "one odd" targets are 0 but one,
+    so some bootstrap samples are pure and their trees stop at the root."""
+    rng = np.random.default_rng(seed)
+    X = rng.normal(size=(n, p))
+    X[:, tied] = rng.integers(0, 4, size=(n, len(tied)))
+    y = rng.normal(size=n)
+    if kind == "overflow":  # three rows with (Σy)² above the float maximum, Σy² below it
+        y[rng.choice(n, size=min(n, 3), replace=False)] = 2e153
+    elif kind == "one odd":
+        y = np.zeros(n)
+        y[rng.integers(0, n)] = 1.0
+    ranges = [range(a, b) for a, b in zip([0, *cuts], [*cuts, n_trees])]
+    return RandomForestRegression(n_trees, mode, seed=seed), X, y, ranges, kind == "overflow"
+
+
+@st.composite
+def forest_fits(draw):
+    """`forest_case` over 2 to 300 rows, so nodes cross numpy's 128-value
+    pairwise-sum block, 1 to 7 features, so at one feature a tree draws
+    every feature, both subsampling modes and 1 to 12 trees."""
+    p, n_trees = draw(st.integers(1, 7)), draw(st.integers(1, 12))
+    cuts = draw(st.sets(st.integers(1, n_trees - 1), max_size=3)) if n_trees > 1 else set()
+    return forest_case(
+        draw(st.integers(2, 300)), p, sorted(draw(st.sets(st.integers(0, p - 1)))),
+        draw(st.sampled_from(["normal", "overflow", "one odd"])), n_trees, sorted(cuts),
+        draw(st.sampled_from(sorted(MAX_FEATURES))), draw(seeds))
+
+
+def check_forest_case(case):
+    """fit() equals fit_trees over the case's ranges, and each tree equals
+    the per-node grower on its own bootstrap rows with its own rng."""
+    forest, X, y, ranges, overflow = case
+    n, p = X.shape
+    with np.errstate(all="ignore") if overflow else contextlib.nullcontext():
+        whole = copy.copy(forest).fit(X, y).trees_
+        joined = [tree for trees in ranges for tree in forest.fit_trees(X, y, trees)]
+        for t, (tree, part) in enumerate(zip(whole, joined)):
+            same_trees(part, tree)
+            rng = np.random.default_rng(np.random.SeedSequence(forest.seed, spawn_key=(t,)))
+            rows = rng.integers(0, n, size=n)
+            oracle = RegressionTree(FOREST_MAX_DEPTH, FOREST_MIN_SAMPLES_LEAF,
+                                    MAX_FEATURES[forest.max_features](p))
+            same_trees(tree, fit_per_node(oracle, X[rows], y[rows], rng))
+    assert len(whole) == len(joined) == forest.n_estimators
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=forest_fits())
+def test_forest_trees_in_lockstep_equal_ranges_and_the_per_node_grower(case):
+    check_forest_case(case)
+
+
+# Hypothesis favours small cases: these pin large ones of each kind.
+@pytest.mark.parametrize("n, p, tied, kind, n_trees, cuts, mode", [
+    (300, 7, [2], "normal", 12, [5], "sqrt"),
+    (300, 10, [0, 3], "normal", 12, [1, 7], "third"),
+    (260, 1, [], "normal", 9, [4], "sqrt"),  # one feature: no draws, every tree scores it
+    (200, 3, [1], "overflow", 8, [3], "third"),
+    (40, 2, [0, 1], "one odd", 12, [6], "sqrt"),
+])
+def test_large_forests_in_lockstep_equal_ranges_and_the_per_node_grower(
+        n, p, tied, kind, n_trees, cuts, mode):
+    check_forest_case(forest_case(n, p, tied, kind, n_trees, cuts, mode, seed=n + p))
 
 
 def test_boosting_stages_equal_per_node_grower_on_300_rows():
