@@ -12,11 +12,19 @@ from .tree import RegressionTree, TreeEnsemble, grow
 FOREST_MAX_DEPTH = 18
 FOREST_MIN_SAMPLES_LEAF = 3
 # Trees per unit of work when a forest is fitted, in a pool or by `fit`. A
-# unit's trees grow in lockstep, and its working arrays grow with it. On two
-# cores the benchmark's `train` pool (a 221-tree forest) trained in a median
-# 0.654 s of wall clock with ranges of 32 trees and 0.674 s with 64 (30
-# rounds each), both at a median 1.07 s of CPU time.
+# unit's trees grow in lockstep. On two cores the benchmark's `train` pool (a
+# 221-tree forest) trained in a median 0.654 s of wall clock with ranges of
+# 32 trees and 0.674 s with 64 (30 rounds each), both at a median 1.07 s of
+# CPU time.
 FOREST_UNIT_TREES = 32
+# A range's trees grow in lockstep batches of at most this many (tree, row,
+# feature) cells, and at least one tree. The grower's working arrays are a
+# few 8-byte arrays of a batch's cells, so they stay small however large X
+# is. One 32-tree range on 20 000 Friedman rows peaked at 67 MB of RSS in
+# batches of one tree, 473 MB in one batch of 32, and 61 MB under the
+# per-node grower this one replaced. The bundled data's 750 training rows ×
+# 10 features still grow 32 trees a batch.
+LOCKSTEP_CELLS = 1 << 18
 
 
 # Features drawn per node, from the feature count p, for each subsampling mode.
@@ -52,10 +60,11 @@ class RandomForestRegression(TreeEnsemble):
                 for t in range(0, self.n_estimators, FOREST_UNIT_TREES)]
 
     def fit_trees(self, X: np.ndarray, y: np.ndarray, trees: range) -> list[RegressionTree]:
-        """Grow the forest's trees numbered `trees` in lockstep (`grow`),
-        leaving the forest as it is. Tree t draws its bootstrap rows and then
-        its candidate features from its own rng, so it is the same whichever
-        range grows it, and the same as grown alone."""
+        """Grow the forest's trees numbered `trees` in lockstep (`grow`), in
+        batches of LOCKSTEP_CELLS, leaving the forest as it is. Tree t draws
+        its bootstrap rows and then its candidate features from its own rng,
+        so it is the same whichever range or batch grows it, and the same as
+        grown alone."""
         X = np.asarray(X, dtype=np.float64)
         y = np.asarray(y, dtype=np.float64)
         n, p = X.shape
@@ -66,7 +75,10 @@ class RandomForestRegression(TreeEnsemble):
                                 min_samples_leaf=FOREST_MIN_SAMPLES_LEAF,
                                 max_features=MAX_FEATURES[self.max_features](p))
                  for _ in trees]
-        grow(grown, X[rows], y[rows], rngs)
+        batch = max(1, LOCKSTEP_CELLS // max(1, n * p))
+        for first in range(0, len(grown), batch):
+            part = slice(first, first + batch)
+            grow(grown[part], X[rows[part]], y[rows[part]], rngs[part])
         return grown
 
     def _combine(self, predictions) -> np.ndarray:

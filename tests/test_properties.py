@@ -13,9 +13,10 @@ from rashpdp.data import Dataset, feature_grid, split
 from rashpdp.learners import (GradientBoostingRegression, KNearestNeighborsRegression,
                               RandomForestRegression, RegressionTree)
 from rashpdp.learners.boosting import BOOSTING_MIN_SAMPLES_LEAF
+from rashpdp.learners import forest as forest_module
 from rashpdp.learners.forest import FOREST_MAX_DEPTH, FOREST_MIN_SAMPLES_LEAF, MAX_FEATURES
 from rashpdp.learners.knn import _QUERY_CHUNK
-from rashpdp.learners.tree import GRID_CHUNK, presort
+from rashpdp.learners.tree import GRID_CHUNK, grow, presort
 from rashpdp.metrics import coverage_rate, mwci
 from rashpdp.pdp import RashomonPdpResult, bootstrap_bands
 from rashpdp.rashomon import form_set
@@ -377,6 +378,29 @@ def test_forest_trees_in_lockstep_equal_ranges_and_the_per_node_grower(case):
 def test_large_forests_in_lockstep_equal_ranges_and_the_per_node_grower(
         n, p, tied, kind, n_trees, cuts, mode):
     check_forest_case(forest_case(n, p, tied, kind, n_trees, cuts, mode, seed=n + p))
+
+
+@pytest.mark.parametrize("trees_a_batch", [1, 3])
+def test_lockstep_batches_equal_ranges_and_the_per_node_grower(monkeypatch, trees_a_batch):
+    # A range grows in lockstep batches of LOCKSTEP_CELLS cells; any batch
+    # size gives the same trees.
+    n, p = 150, 4
+    monkeypatch.setattr(forest_module, "LOCKSTEP_CELLS", trees_a_batch * n * p)
+    for mode in sorted(MAX_FEATURES):
+        check_forest_case(forest_case(n, p, [1], "normal", 8, [5], mode, seed=trees_a_batch))
+
+
+@pytest.mark.parametrize("max_features", [None, 2])
+def test_untied_trees_in_lockstep_equal_the_per_node_grower(max_features):
+    # No column of any tree holds a tie, so no node reads x to check its
+    # split positions, while a step's groups still mix node sizes.
+    rng = np.random.default_rng(8)
+    X, y = rng.normal(size=(5, 150, 4)), rng.normal(size=(5, 150))
+    trees = [RegressionTree(6, 3, max_features) for _ in range(5)]
+    grow(trees, X, y, [np.random.default_rng(t) for t in range(5)])
+    for t, tree in enumerate(trees):
+        oracle = RegressionTree(6, 3, max_features)
+        same_trees(tree, fit_per_node(oracle, X[t], y[t], np.random.default_rng(t)))
 
 
 def test_boosting_stages_equal_per_node_grower_on_300_rows():
