@@ -8,7 +8,8 @@ import math
 import os
 import re
 from dataclasses import asdict, dataclass, replace
-from typing import Any, Callable, Iterable, NamedTuple
+from pathlib import PurePath
+from typing import Any, Callable, NamedTuple
 
 from .data import DEFAULT_GRID_SIZE, DEFAULT_TEST_FRACTION, feature_grid, load_csv, split
 from .errors import ConfigError, DataError
@@ -269,87 +270,94 @@ def _safe_filename(name: str) -> str:
     return re.sub(r"[^A-Za-z0-9_.-]+", "_", name)
 
 
-def _require_directory(path: str, what: str) -> None:
-    """Raise ConfigError naming `what` unless the nearest existing one of `path`
-    and its ancestors is a directory, so makedirs can make `path`. Creates nothing."""
-    probe = os.path.abspath(path)
-    while not os.path.exists(probe):
-        probe = os.path.dirname(probe)
-    if not os.path.isdir(probe):
-        raise ConfigError(f"{what} is a file" if probe == os.path.abspath(path)
-                          else f"{what} is under the file {probe}")
-
-
 def _write_json(payload: dict[str, Any], path: str) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
 
 
-def _check_overwrites(reads: Iterable[tuple[str, str | None]],
-                      writes: Iterable[tuple[str, str]]) -> None:
-    """Raise ConfigError, naming both paths, when a file of `writes` is by real
-    path one of `reads` or an earlier one of `writes`. Each is a (what, path)
-    pair and a None path is skipped. The pool archive may rewrite the pool
-    archive read: it holds the same pool."""
+def _check_outputs(reads: list[tuple[str, str | None]], writes: list[tuple[str, str]]) -> None:
+    """The one rule over planned (what, path) pairs, a None read skipped: raise
+    ConfigError naming the paths unless each write's directory can be made, no
+    write is a directory or a dangling link, and by real path no write is a read,
+    another write or under either. The pool archive may rewrite the pool archive
+    read: it holds the same pool. Creates nothing."""
     files = {os.path.realpath(path): (what, path) for what, path in reads if path is not None}
     for what, path in writes:
+        # joined, not abspath: the system applies a '..' after the symlink before it
+        directory, target = os.path.dirname(path), os.path.join(os.getcwd(), path)
+        probe = target
+        while not os.path.lexists(probe):  # a dangling link counts as existing
+            probe = os.path.dirname(probe)
+        kind = ("directory" if os.path.isdir(probe) else "file" if os.path.exists(probe)
+                else "dangling link")
+        if kind != ("file" if probe == target else "directory"):
+            raise ConfigError(f"{what} {path} is a {kind}" if probe == target
+                              else f"output directory {directory} is a {kind}"
+                              if probe == os.path.dirname(target)
+                              else f"output directory {directory} is under the {kind} {probe}")
         real = os.path.realpath(path)
         if real in files and (what, files[real][0]) != ("the pool archive", "the pool archive"):
             raise ConfigError(f"{what} {path} would overwrite {files[real][1]}")
-        files[real] = (what, path)
+        files[real] = (what, f"{what} {path}")
+    for real, (_, named) in files.items():
+        for parent in map(str, PurePath(real).parents):
+            if parent in files:
+                raise ConfigError(f"{named} would be under {files[parent][1]}")
+
+
+class RunPlan(NamedTuple):
+    """Every file one run writes, as `_prepare` decides them before training."""
+
+    profiles: dict[str, tuple[str, str]]  # profiled feature -> its CSV and SVG
+    metrics: str
+    echo: str
+    summary: str
+    save_pool: str | None
+
+    @property
+    def writes(self) -> list[tuple[str, str]]:
+        files = [self.metrics, self.echo, self.summary, *sum(self.profiles.values(), ())]
+        pool = [] if self.save_pool is None else [("the pool archive", self.save_pool)]
+        return [("the output", path) for path in files] + pool
 
 
 def _prepare(cfg: RunConfig, load_pool_path: str | None = None,
-             save_pool_path: str | None = None, reads: Iterable[tuple[str, str]] = ()):
-    """A run's checks before training, in `explain`'s order; returns (dataset,
-    split, grids). No output may be one of `reads`, the files other runs read."""
+             save_pool_path: str | None = None):
+    """A run's checks before training, in `explain`'s order, each error naming
+    the dataset; returns (dataset, split, grids, plan)."""
     cfg.validate()
-    _require_directory(cfg.out_dir, f"output directory {cfg.out_dir}")
-    if save_pool_path is not None:
-        if os.path.isdir(save_pool_path):
-            raise ConfigError(f"pool archive {save_pool_path} is a directory")
-        _require_directory(os.path.dirname(os.path.abspath(save_pool_path)),
-                           f"the directory of pool archive {save_pool_path}")
+    dataset = os.path.basename(cfg.data_path)  # its name until it is loaded
     try:
         ds = load_csv(cfg.data_path, cfg.target_column)
-    except DataError as exc:
-        raise DataError(f"dataset '{os.path.basename(cfg.data_path)}': {exc}") from None
-
-    for name in cfg.features:
-        if name not in ds.feature_names:
-            raise ConfigError(f"dataset '{ds.name}': unknown feature '{name}'")
-        if cfg.features.count(name) > 1:
-            raise ConfigError(f"dataset '{ds.name}': feature '{name}' is named more than once")
-    feature_names = list(cfg.features) if cfg.features else list(ds.feature_names)
-    stems: dict[str, str] = {}
-    for name in feature_names:
-        stem = _safe_filename(name)
-        if stems.setdefault(stem, name) != name:
-            raise ConfigError(f"dataset '{ds.name}': features '{stems[stem]}' and '{name}' "
-                              f"both write profile_{stem}.csv and profile_{stem}.svg")
-    outputs = ["metrics.json", "config.echo", "summary.csv"]
-    outputs += [f"profile_{stem}.{ext}" for stem in stems for ext in ("csv", "svg")]
-    written = [("the output", os.path.join(cfg.out_dir, name)) for name in outputs]
-    if save_pool_path is not None:
-        written.append(("the pool archive", save_pool_path))
-    try:
-        _check_overwrites([("the pool archive", load_pool_path), ("the data", cfg.data_path),
-                           *reads], written)
-    except ConfigError as exc:
-        raise ConfigError(f"dataset '{ds.name}': {exc}") from None
-
-    sp = split(ds, cfg.test_fraction, derive_seed(cfg.seed, ROLE_SPLIT))
-    # The grids need only the training rows: a feature without a grid span
-    # fails here, before any model is trained or output written.
-    grids = {}
-    for name in feature_names:
-        j = ds.feature_index(name)
-        try:
+        dataset = ds.name
+        stems: dict[str, str] = {}
+        profiles: dict[str, tuple[str, str]] = {}
+        for name in cfg.features or ds.feature_names:
+            if name not in ds.feature_names:
+                raise ConfigError(f"unknown feature '{name}'")
+            if cfg.features.count(name) > 1:
+                raise ConfigError(f"feature '{name}' is named more than once")
+            stem = _safe_filename(name)
+            if stems.setdefault(stem, name) != name:
+                raise ConfigError(f"features '{stems[stem]}' and '{name}' "
+                                  f"both write profile_{stem}.csv and profile_{stem}.svg")
+            profiles[name] = tuple(os.path.join(cfg.out_dir, f"profile_{stem}.{ext}")
+                                   for ext in ("csv", "svg"))
+        outputs = [os.path.join(cfg.out_dir, name)
+                   for name in ("metrics.json", "config.echo", "summary.csv")]
+        plan = RunPlan(profiles, *outputs, save_pool_path)
+        _check_outputs([("the pool archive", load_pool_path), ("the data", cfg.data_path)],
+                       plan.writes)
+        sp = split(ds, cfg.test_fraction, derive_seed(cfg.seed, ROLE_SPLIT))
+        # The grids need only the training rows: a feature without a grid span
+        # fails here, before any model is trained or output written.
+        grids = {}
+        for j in map(ds.feature_index, profiles):
             grids[j] = feature_grid(ds, j, cfg.grid_size, rows=sp.train_indices)
-        except DataError as exc:
-            raise DataError(f"dataset '{ds.name}': {exc}") from None
-    return ds, sp, grids
+    except (ConfigError, DataError) as exc:
+        raise type(exc)(f"dataset '{dataset}': {exc}") from None
+    return ds, sp, grids, plan
 
 
 def run_dataset(cfg: RunConfig, load_pool_path: str | None = None,
@@ -357,12 +365,12 @@ def run_dataset(cfg: RunConfig, load_pool_path: str | None = None,
     """Execute the full pipeline for one dataset.
 
     Writes profile CSV + SVG per feature, metrics.json, config.echo, and a
-    one-row summary.csv into cfg.out_dir; returns (summary row, results by
-    feature name). Output bytes are a pure function of cfg: `workers`, the
-    number of processes that train the pool and profile the Rashomon-set
-    members, changes none of them.
+    one-row summary.csv into cfg.out_dir, each to the path `_prepare` plans;
+    returns (summary row, results by feature name). Output bytes are a pure
+    function of cfg: `workers`, the number of processes that train the pool
+    and profile the Rashomon-set members, changes none of them.
     """
-    ds, sp, grids = _prepare(cfg, load_pool_path, save_pool_path)
+    ds, sp, grids, plan = _prepare(cfg, load_pool_path, save_pool_path)
     if load_pool_path is not None:
         pool = load_pool(load_pool_path)
         check_scores(pool, ds, sp, load_pool_path)
@@ -373,24 +381,24 @@ def run_dataset(cfg: RunConfig, load_pool_path: str | None = None,
             seed=derive_seed(cfg.seed, ROLE_POOL),
         )
         pool = train_pool(ds, sp, budget, workers=workers)
-    if save_pool_path is not None:
-        os.makedirs(os.path.dirname(os.path.abspath(save_pool_path)), exist_ok=True)
-        save_pool(pool, save_pool_path)
+    if plan.save_pool is not None:
+        os.makedirs(os.path.dirname(plan.save_pool) or ".", exist_ok=True)
+        save_pool(pool, plan.save_pool)
 
     rset = form_set(pool, cfg.epsilon)
 
     profiles = rashomon_profile(rset, ds, sp, grids, n_boot=cfg.n_boot, alpha=cfg.alpha,
                                 seed=cfg.seed, workers=workers)
     os.makedirs(cfg.out_dir, exist_ok=True)
-    results = dict(zip((ds.feature_names[j] for j in grids), profiles))
+    results = dict(zip(plan.profiles, profiles))
     feature_metrics = {}
     for name, result in results.items():
         feature_metrics[name] = compute_metrics(result)
-        stem = _safe_filename(name)
-        write_profile_csv(result, os.path.join(cfg.out_dir, f"profile_{stem}.csv"))
+        csv_path, svg_path = plan.profiles[name]
+        write_profile_csv(result, csv_path)
         emit_svg(
             result,
-            os.path.join(cfg.out_dir, f"profile_{stem}.svg"),
+            svg_path,
             dataset_name=ds.name,
             target_name=ds.target_name,
             epsilon=cfg.epsilon,
@@ -430,9 +438,9 @@ def run_dataset(cfg: RunConfig, load_pool_path: str | None = None,
             for name, fm in feature_metrics.items()
         },
     }
-    _write_json(report, os.path.join(cfg.out_dir, "metrics.json"))
-    write_config_echo(cfg, os.path.join(cfg.out_dir, "config.echo"))
-    write_summary_csv([row], os.path.join(cfg.out_dir, "summary.csv"))
+    _write_json(report, plan.metrics)
+    write_config_echo(cfg, plan.echo)
+    write_summary_csv([row], plan.summary)
     return row, results
 
 
@@ -441,36 +449,29 @@ def run_suite(configs: list[RunConfig], out_dir: str, workers: int = 1):
 
     Before any dataset runs or `out_dir` is created, every entry passes each check
     `explain` makes before training; an error names the entry's number and data path.
-    No file the suite or an entry writes may be the data of an entry.
+    Then `_check_outputs` checks the suite's outputs and all entries' at once.
     Emits the suite summary CSV plus suite_report.json; the correlation is
     skipped (with a recorded warning) when fewer than four rows have defined
     metrics. Returns (rows, correlation or None, warnings).
     """
     if not configs:
         raise ConfigError("suite needs at least one dataset configuration")
-    _require_directory(out_dir, f"output directory {out_dir}")
     entries = [replace(cfg, out_dir=cfg.out_dir or os.path.join(
         out_dir, _safe_filename(os.path.splitext(os.path.basename(cfg.data_path))[0])))
         for cfg in configs]
-    data = [("the data", run.data_path) for run in entries]
-    _check_overwrites(data, [("the suite output", os.path.join(out_dir, name))
-                             for name in ("summary.csv", "suite_report.json")])
-    runs: dict[str, RunConfig] = {}  # absolute output directory -> its run
+    summary_path, report_path = (os.path.join(out_dir, name)
+                                 for name in ("summary.csv", "suite_report.json"))
+    writes = [("the suite output", summary_path), ("the suite output", report_path)]
     for position, run in enumerate(entries, start=1):
-        try:  # the dataset is read again when it runs: one is in memory at a time
-            _prepare(run, reads=data)
+        entry = f"suite entry {position} ('{run.data_path}')"
+        try:  # the dataset is read again when it runs: no plan is kept
+            ds, _, _, plan = _prepare(run)
         except (ConfigError, DataError) as exc:
-            raise type(exc)(f"suite entry {position} ('{run.data_path}'): {exc}") from None
-        key = os.path.abspath(run.out_dir)
-        if key == os.path.abspath(out_dir):
-            raise ConfigError(f"suite dataset '{run.data_path}' writes to {run.out_dir}, "
-                              f"the suite's own output directory")
-        if key in runs:
-            raise ConfigError(f"suite datasets '{runs[key].data_path}' and '{run.data_path}' "
-                              f"both write to {run.out_dir}")
-        runs[key] = run
+            raise type(exc)(f"{entry}: {exc}") from None
+        writes += [(f"{entry}: dataset '{ds.name}': {what}", path) for what, path in plan.writes]
+    _check_outputs([("the data", run.data_path) for run in entries], writes)
     os.makedirs(out_dir, exist_ok=True)
-    rows = [run_dataset(run, workers=workers)[0] for run in runs.values()]
+    rows = [run_dataset(run, workers=workers)[0] for run in entries]
 
     warnings: list[str] = []
     correlation = None
@@ -479,22 +480,21 @@ def run_suite(configs: list[RunConfig], out_dir: str, workers: int = 1):
     except ConfigError as exc:
         warnings.append(str(exc))
 
-    write_summary_csv(rows, os.path.join(out_dir, "summary.csv"))
+    write_summary_csv(rows, summary_path)
     report = {
         "datasets": [r.dataset for r in rows],
         "correlation": None if correlation is None else asdict(correlation),
         "warnings": warnings,
     }
-    _write_json(report, os.path.join(out_dir, "suite_report.json"))
+    _write_json(report, report_path)
     return rows, correlation, warnings
 
 
 def correlate_summary(summary_path: str, out_dir: str) -> CorrelationResult:
     """Analysis-only mode: correlate an existing summary table (for example
     the bundled benchmark fixture) without training anything."""
-    _require_directory(out_dir, f"output directory {out_dir}")
     out_path = os.path.join(out_dir, "correlation.json")
-    _check_overwrites([("the summary", summary_path)], [("the output", out_path)])
+    _check_outputs([("the summary", summary_path)], [("the output", out_path)])
     rows = read_summary_csv(summary_path)
     correlation = correlate_rows(rows)
     os.makedirs(out_dir, exist_ok=True)

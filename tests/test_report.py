@@ -47,6 +47,115 @@ from rashpdp.synthetic import make_linear
 FIXTURE = str(importlib.resources.files("rashpdp.resources") / "benchmark_summary.csv")
 
 
+def _tree(root) -> list[tuple[str, bool]]:
+    """Every path under `root`, relative, with whether it is a symlink."""
+    return sorted((os.path.relpath(os.path.join(parent, name), root),
+                   os.path.islink(os.path.join(parent, name)))
+                  for parent, dirs, files in os.walk(root) for name in dirs + files)
+
+
+def _suite_argv(tmp, data, outs, suite_out):
+    """argv of a suite with one entry per `outs` value; entry i reads a copy of
+    `data` named d<i>.csv and writes into its `out`."""
+    listing = []
+    for i, out in enumerate(outs):
+        with open(data, "rb") as fh:
+            (tmp / f"d{i}.csv").write_bytes(fh.read())
+        (tmp / f"d{i}.cfg").write_text(f"data = d{i}.csv\ntarget = y\nout = {out}\n",
+                                       encoding="utf-8")
+        listing.append(f"d{i}.cfg\n")
+    (tmp / "suite.txt").write_text("".join(listing), encoding="utf-8")
+    return ["suite", "--configs", str(tmp / "suite.txt"), "--out", str(tmp / suite_out)]
+
+
+def _explain_argv(data, *flags):
+    return ["explain", "--data", data, "--target", "y", "--feature", "x1",
+            "--max-models", "2", "--bootstrap", "20", "--grid", "4", *flags]
+
+
+def _entries_through_one_link(tmp, data):
+    (tmp / "outa").mkdir()
+    (tmp / "outb").symlink_to(tmp / "outa")
+    return (_suite_argv(tmp, data, ["outa", "outb"], "s"),
+            f"suite entry 2 ('{tmp / 'd1.csv'}'): dataset 'd1': the output "
+            f"{tmp / 'outb' / 'metrics.json'} would overwrite suite entry 1 ('{tmp / 'd0.csv'}'): "
+            f"dataset 'd0': the output {tmp / 'outa' / 'metrics.json'}")
+
+
+def _entry_linked_to_suite_out(tmp, data):
+    (tmp / "s").mkdir()
+    (tmp / "o").symlink_to(tmp / "s")
+    return (_suite_argv(tmp, data, ["o"], "s"),
+            f"suite entry 1 ('{tmp / 'd0.csv'}'): dataset 'd0': the output "
+            f"{tmp / 'o' / 'summary.csv'} would overwrite the suite output {tmp / 's' / 'summary.csv'}")
+
+
+def _entry_under_suite_output(tmp, data):
+    return (_suite_argv(tmp, data, ["s3/summary.csv"], "s3"),
+            f"suite entry 1 ('{tmp / 'd0.csv'}'): dataset 'd0': the output "
+            f"{tmp / 's3' / 'summary.csv' / 'metrics.json'} would be under the suite output "
+            f"{tmp / 's3' / 'summary.csv'}")
+
+
+def _archive_under_output(tmp, data):
+    archive = tmp / "o4" / "metrics.json" / "x.json"
+    return (_explain_argv(data, "--save-pool", str(archive), "--out", str(tmp / "o4")),
+            f"the pool archive {archive} would be under the output {tmp / 'o4' / 'metrics.json'}")
+
+
+def _explain_output_a_directory(tmp, data):
+    (tmp / "o" / "metrics.json").mkdir(parents=True)
+    return (_explain_argv(data, "--out", str(tmp / "o")),
+            f"the output {tmp / 'o' / 'metrics.json'} is a directory")
+
+
+def _suite_output_a_directory(tmp, data):
+    (tmp / "s" / "summary.csv").mkdir(parents=True)
+    return (_suite_argv(tmp, data, ["o"], "s"),
+            f"the suite output {tmp / 's' / 'summary.csv'} is a directory")
+
+
+def _correlate_output_a_directory(tmp, data):
+    (tmp / "o" / "correlation.json").mkdir(parents=True)
+    return (["correlate", "--summary", FIXTURE, "--out", str(tmp / "o")],
+            f"the output {tmp / 'o' / 'correlation.json'} is a directory")
+
+
+def _out_a_dangling_link(tmp, data):
+    (tmp / "dangling").symlink_to(tmp / "missing" / "x")
+    return (_explain_argv(data, "--out", str(tmp / "dangling")),
+            f"output directory {tmp / 'dangling'} is a dangling link")
+
+
+def _archive_a_dangling_link(tmp, data):
+    (tmp / "dangling").symlink_to(tmp / "missing" / "x")
+    return (_explain_argv(data, "--save-pool", str(tmp / "dangling"), "--out", str(tmp / "o")),
+            f"the pool archive {tmp / 'dangling'} is a dangling link")
+
+
+def _out_through_a_link_and_up_onto_a_file(tmp, data):
+    (tmp / "a" / "b").mkdir(parents=True)
+    (tmp / "a" / "o").write_text("kept\n", encoding="utf-8")
+    (tmp / "link").symlink_to(tmp / "a" / "b")
+    out = os.path.join(str(tmp / "link"), "..", "o")  # the system resolves link/.. to a
+    return (_explain_argv(data, "--out", out), f"output directory {out} is a file")
+
+
+# Each makes a case in a fresh directory and returns (argv, the error it must print).
+OUTPUT_HOLES = {
+    "suite entries in one directory through a symlink": _entries_through_one_link,
+    "suite entry out a symlink to the suite out": _entry_linked_to_suite_out,
+    "suite entry out under the suite summary": _entry_under_suite_output,
+    "pool archive under an output": _archive_under_output,
+    "explain output a directory": _explain_output_a_directory,
+    "suite output a directory": _suite_output_a_directory,
+    "correlate output a directory": _correlate_output_a_directory,
+    "--out through a symlink and .. onto a file": _out_through_a_link_and_up_onto_a_file,
+    "--out a dangling link": _out_a_dangling_link,
+    "--save-pool a dangling link": _archive_a_dangling_link,
+}
+
+
 @pytest.fixture(scope="module")
 def linear_csv(tmp_path_factory):
     path = tmp_path_factory.mktemp("data") / "linear.csv"
@@ -773,9 +882,10 @@ class TestCli:
         code = main(["suite", "--configs", str(tmp_path / "suite.txt"),
                      "--out", str(tmp_path / "s")])
         assert code == 1
-        err = capsys.readouterr().err
-        assert str(tmp_path / "a" / "data.csv") in err
-        assert f"{tmp_path / 'b' / 'data.csv'}' both write to {tmp_path / 's' / 'data'}" in err
+        metrics = tmp_path / "s" / "data" / "metrics.json"
+        assert (f"suite entry 2 ('{tmp_path / 'b' / 'data.csv'}'): dataset 'data': the output "
+                f"{metrics} would overwrite suite entry 1 ('{tmp_path / 'a' / 'data.csv'}'): "
+                f"dataset 'data': the output {metrics}" in capsys.readouterr().err)
         assert not (tmp_path / "s").exists()
 
     def test_suite_dataset_writing_into_suite_out_exit_one(self, tmp_path, capsys):
@@ -790,9 +900,23 @@ class TestCli:
         code = main(["suite", "--configs", str(configs / "suite.txt"),
                      "--out", str(tmp_path / "s")])
         assert code == 1
-        assert (f"suite dataset '{configs / 'd1.csv'}' writes to {configs / '..' / 's'}, "
-                "the suite's own output directory" in capsys.readouterr().err)
+        assert (f"suite entry 2 ('{configs / 'd1.csv'}'): dataset 'd1': the output "
+                f"{configs / '..' / 's' / 'summary.csv'} would overwrite the suite output "
+                f"{tmp_path / 's' / 'summary.csv'}" in capsys.readouterr().err)
         assert not (tmp_path / "s").exists()
+
+    @pytest.mark.parametrize("hole", OUTPUT_HOLES.values(), ids=OUTPUT_HOLES.keys())
+    def test_output_path_refused_before_training_and_nothing_made(self, linear_csv, tmp_path,
+                                                                  capsys, monkeypatch, hole):
+        def no_training(*args, **kwargs):
+            raise AssertionError("train_pool was called")
+
+        monkeypatch.setattr("rashpdp.report.train_pool", no_training)
+        argv, message = hole(tmp_path, linear_csv)
+        before = _tree(tmp_path)
+        assert main(argv) == 1
+        assert message in capsys.readouterr().err
+        assert _tree(tmp_path) == before
 
     @pytest.mark.parametrize("value", ["nan", "inf"])
     def test_nan_epsilon_exit_one_before_training(self, linear_csv, tmp_path, capsys,
@@ -833,7 +957,7 @@ class TestCli:
          "output directory taken/sub is under the file "),
         (lambda path: path.write_text("kept\n", encoding="utf-8"),
          ["--save-pool", "taken/pool.json", "--out", "o"],
-         "the directory of pool archive taken/pool.json is a file"),
+         "output directory taken is a file"),
     ], ids=["--out a file", "--save-pool a directory", "--out under a file",
             "--save-pool under a file"])
     def test_path_that_cannot_be_written_exit_one_before_training(
