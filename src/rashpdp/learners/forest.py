@@ -11,19 +11,14 @@ from .tree import RegressionTree, TreeEnsemble, grow
 # Desk-scale fixed knobs; only tree count and feature subsampling are searched.
 FOREST_MAX_DEPTH = 18
 FOREST_MIN_SAMPLES_LEAF = 3
-# Trees per unit of work when a forest is fitted, in a pool or by `fit`. A
-# unit's trees grow in lockstep. On two cores the benchmark's `train` pool (a
-# 221-tree forest) trained in a median 0.654 s of wall clock with ranges of
-# 32 trees and 0.674 s with 64 (30 rounds each), both at a median 1.07 s of
-# CPU time.
-FOREST_UNIT_TREES = 32
-# A range's trees grow in lockstep batches of at most this many (tree, row,
-# feature) cells, and at least one tree. The grower's working arrays are a
-# few 8-byte arrays of a batch's cells, so they stay small however large X
-# is. One 32-tree range on 20 000 Friedman rows peaked at 67 MB of RSS in
-# batches of one tree, 473 MB in one batch of 32, and 61 MB under the
-# per-node grower this one replaced. The bundled data's 750 training rows ×
-# 10 features still grow 32 trees a batch.
+# A forest's unit of work, in a pool or by `fit`, is one lockstep batch of at
+# most this many (tree, row, feature) cells, and at least one tree, so the
+# grower's working arrays stay small however large X is: 32 trees on 20 000
+# Friedman rows peaked at 67 MB of RSS grown one tree a batch, 473 MB in one.
+# A unit holds 116 trees on the `train` benchmark's 225 × 10 training data
+# (2 units), 34 on the bundled 750 × 10, and one above 131 072 cells a tree.
+# In process on two cores, the `train` pool trained in a median 0.472 s this
+# way and 0.562 s in 32-tree units (15 alternating rounds of 3 fits).
 LOCKSTEP_CELLS = 1 << 18
 
 
@@ -50,20 +45,23 @@ class RandomForestRegression(TreeEnsemble):
         self.seed = int(seed)
 
     def fit(self, X: np.ndarray, y: np.ndarray) -> "RandomForestRegression":
-        self.trees_ = [tree for trees in self.units() for tree in self.fit_trees(X, y, trees)]
+        self.trees_ = [tree for trees in self.units(*np.shape(X))
+                       for tree in self.fit_trees(X, y, trees)]
         return self
 
-    def units(self) -> list[range]:
-        """The forest's tree numbers in ranges of FOREST_UNIT_TREES, the
-        units of work in which its trees are grown."""
-        return [range(t, min(t + FOREST_UNIT_TREES, self.n_estimators))
-                for t in range(0, self.n_estimators, FOREST_UNIT_TREES)]
+    def units(self, n: int, p: int) -> list[range]:
+        """The forest's tree numbers in consecutive ranges of
+        LOCKSTEP_CELLS // (n·p) trees, and at least one: its units of work on
+        n training rows of p features, each grown in one lockstep batch."""
+        size = max(1, LOCKSTEP_CELLS // max(1, n * p))
+        return [range(t, min(t + size, self.n_estimators))
+                for t in range(0, self.n_estimators, size)]
 
     def fit_trees(self, X: np.ndarray, y: np.ndarray, trees: range) -> list[RegressionTree]:
-        """Grow the forest's trees numbered `trees` in lockstep (`grow`), in
-        batches of LOCKSTEP_CELLS, leaving the forest as it is. Tree t draws
-        its bootstrap rows and then its candidate features from its own rng,
-        so it is the same whichever range or batch grows it, and the same as
+        """Grow the forest's trees numbered `trees` in one lockstep batch
+        (`grow`), leaving the forest as it is; `units` sizes the ranges. Tree
+        t draws its bootstrap rows and then its candidate features from its
+        own rng, so it is the same whichever range grows it, and the same as
         grown alone."""
         X = np.asarray(X, dtype=np.float64)
         y = np.asarray(y, dtype=np.float64)
@@ -75,10 +73,7 @@ class RandomForestRegression(TreeEnsemble):
                                 min_samples_leaf=FOREST_MIN_SAMPLES_LEAF,
                                 max_features=MAX_FEATURES[self.max_features](p))
                  for _ in trees]
-        batch = max(1, LOCKSTEP_CELLS // max(1, n * p))
-        for first in range(0, len(grown), batch):
-            part = slice(first, first + batch)
-            grow(grown[part], X[rows[part]], y[rows[part]], rngs[part])
+        grow(grown, X[rows], y[rows], rngs)
         return grown
 
     def _combine(self, predictions) -> np.ndarray:

@@ -12,7 +12,7 @@ import numpy as np
 from ..data import Dataset, Split
 from ..parallel import fork_map
 from .boosting import GradientBoostingRegression
-from .forest import FOREST_UNIT_TREES, RandomForestRegression
+from .forest import RandomForestRegression
 from .knn import KNearestNeighborsRegression
 from .linear import RidgeRegression
 from .tree import RegressionTree
@@ -139,8 +139,8 @@ def train_pool(ds: Dataset, sp: Split, budget: SearchBudget,
     Families rotate in FAMILIES order; each model's hyperparameters and any
     fitting randomness come from a stream derived from (budget.seed, model
     index), so the pool is exactly reproducible apart from the wall-clock
-    cutoff. A unit of work is one model, or one range of FOREST_UNIT_TREES
-    trees of a forest; with `workers` > 1 the units are fitted in that many
+    cutoff. A unit of work is one model, or one of a forest's `units`, grown
+    in one lockstep batch; with `workers` > 1 the units are fitted in that many
     forked processes (`parallel.fork_map`), handed out in model order.
     Results are taken in model order and the clock is checked before each
     model's, so the pool is the models 0..k-1 taken before the cap, whatever
@@ -160,7 +160,7 @@ def train_pool(ds: Dataset, sp: Split, budget: SearchBudget,
         model = family.build(hp, fit_seed)
         ranges = [None]
         if isinstance(model, RandomForestRegression):
-            ranges = model.units()
+            ranges = model.units(*X_train.shape)
         drawn.append((i, family, hp, model, ranges))
     units = [(model, trees) for *_, model, ranges in drawn for trees in ranges]
     labels = [f"model {i} ({family.name})" for i, family, *_, ranges in drawn for _ in ranges]

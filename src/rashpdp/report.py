@@ -456,6 +456,8 @@ def run_suite(configs: list[RunConfig], out_dir: str, workers: int = 1):
     """
     if not configs:
         raise ConfigError("suite needs at least one dataset configuration")
+    if not out_dir:
+        raise ConfigError(f"out must be set, got {out_dir!r}")
     entries = [replace(cfg, out_dir=cfg.out_dir or os.path.join(
         out_dir, _safe_filename(os.path.splitext(os.path.basename(cfg.data_path))[0])))
         for cfg in configs]
@@ -493,6 +495,8 @@ def run_suite(configs: list[RunConfig], out_dir: str, workers: int = 1):
 def correlate_summary(summary_path: str, out_dir: str) -> CorrelationResult:
     """Analysis-only mode: correlate an existing summary table (for example
     the bundled benchmark fixture) without training anything."""
+    if not out_dir:
+        raise ConfigError(f"out must be set, got {out_dir!r}")
     out_path = os.path.join(out_dir, "correlation.json")
     _check_outputs([("the summary", summary_path)], [("the output", out_path)])
     rows = read_summary_csv(summary_path)

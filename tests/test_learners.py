@@ -15,6 +15,7 @@ import pytest
 from rashpdp import parallel
 from rashpdp.cli import main
 from rashpdp.data import save_csv, split
+from rashpdp.learners import forest as forest_module
 from rashpdp.learners import pool as pool_module
 from rashpdp.learners import (
     FAMILIES,
@@ -314,13 +315,17 @@ class TestTrainPool:
             train_pool(tiny_dataset, sp, SearchBudget(max_models=5, seed=2), workers=workers)
         assert multiprocessing.active_children() == []
 
-    def test_worker_count_capped_at_units(self, tiny_dataset, recording_executor):
-        # ridge, one tree and a forest of at most 300 trees: at most 12 units
+    def test_worker_count_capped_at_units(self, tiny_dataset, recording_executor,
+                                          monkeypatch):
+        # ridge, one tree and a forest in units of 32 trees: a handful of units
         sp = split(tiny_dataset, 0.25, seed=1)
+        n, p = len(sp.train_indices), tiny_dataset.features.shape[1]
+        monkeypatch.setattr(forest_module, "LOCKSTEP_CELLS", 32 * n * p)
         budget = SearchBudget(max_models=3, seed=2)
         pool = train_pool(tiny_dataset, sp, budget, workers=1000)
-        n_trees = pool[2].hyperparameters["n_estimators"]
-        units = 2 + -(-n_trees // pool_module.FOREST_UNIT_TREES)
+        forest_units = pool[2].predictor.units(n, p)
+        assert len(forest_units) > 1
+        units = 2 + len(forest_units)
         made, submitted = recording_executor
         assert made == [units, "shutdown"]
         assert submitted == list(range(units))

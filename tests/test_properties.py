@@ -380,10 +380,21 @@ def test_large_forests_in_lockstep_equal_ranges_and_the_per_node_grower(
     check_forest_case(forest_case(n, p, tied, kind, n_trees, cuts, mode, seed=n + p))
 
 
+@COMMON
+@given(n_trees=st.integers(1, 300), n=st.integers(1, 30_000), p=st.integers(1, 40))
+def test_forest_units_cover_its_trees_in_order_within_the_lockstep_cells(n_trees, n, p):
+    # fit_trees grows a unit in one batch, so units alone bound its cells
+    size = max(1, forest_module.LOCKSTEP_CELLS // (n * p))
+    units = RandomForestRegression(n_trees).units(n, p)
+    assert [t for trees in units for t in trees] == list(range(n_trees))
+    assert all(1 <= len(trees) <= size for trees in units)
+    assert len(units) == -(-n_trees // size)
+
+
 @pytest.mark.parametrize("trees_a_batch", [1, 3])
 def test_lockstep_batches_equal_ranges_and_the_per_node_grower(monkeypatch, trees_a_batch):
-    # A range grows in lockstep batches of LOCKSTEP_CELLS cells; any batch
-    # size gives the same trees.
+    # fit() grows units of LOCKSTEP_CELLS cells, each in one lockstep batch,
+    # and the case's ranges are cut elsewhere; any unit size gives the same trees.
     n, p = 150, 4
     monkeypatch.setattr(forest_module, "LOCKSTEP_CELLS", trees_a_batch * n * p)
     for mode in sorted(MAX_FEATURES):

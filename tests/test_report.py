@@ -997,6 +997,23 @@ class TestCli:
         assert sorted(p.name for p in tmp_path.iterdir()) == ["run.cfg", "suite.txt", "taken"]
         assert (tmp_path / "taken").read_text() == "kept\n"
 
+    @pytest.mark.parametrize("command", ["correlate", "suite"])
+    def test_correlate_and_suite_empty_out_exit_one_before_reading(
+            self, linear_csv, tmp_path, capsys, monkeypatch, command):
+        def never(*args, **kwargs):
+            raise AssertionError("an entry was prepared, the summary read or a pool trained")
+
+        for name in ("_prepare", "read_summary_csv", "train_pool"):
+            monkeypatch.setattr(f"rashpdp.report.{name}", never)
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "run.cfg").write_text(f"data = {linear_csv}\ntarget = y\nout = o\n",
+                                          encoding="utf-8")
+        (tmp_path / "suite.txt").write_text("run.cfg\n", encoding="utf-8")
+        flags = ["--summary", FIXTURE] if command == "correlate" else ["--configs", "suite.txt"]
+        assert main([command, *flags, "--out", ""]) == 1
+        assert "error: out must be set, got ''" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["run.cfg", "suite.txt"]
+
     def test_feature_flag_with_comma_exit_one(self, linear_csv, tmp_path, capsys):
         code = main(["explain", "--data", linear_csv, "--target", "y", "--feature", "x1,x2",
                      "--out", str(tmp_path / "o")])
