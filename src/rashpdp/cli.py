@@ -98,6 +98,9 @@ def _print_correlation(c: CorrelationResult) -> None:
 def _run(args: argparse.Namespace) -> int:
     if getattr(args, "workers", 1) < 1:
         raise ConfigError(f"--workers must be >= 1, got {args.workers}")
+    for flag in ("config", "save_pool", "load_pool", "configs", "summary"):
+        if getattr(args, flag, None) == "":
+            raise ConfigError(f"--{flag.replace('_', '-')} must be set, got ''")
     if args.command == "explain":
         cfg = _explain_config(args)
         row, _ = run_dataset(cfg, load_pool_path=args.load_pool,

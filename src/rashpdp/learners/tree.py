@@ -60,8 +60,10 @@ class RegressionTree(TreeEnsemble):
     between consecutive distinct sorted values; rows with x <= threshold go
     left. Feature scan order breaks ties, so fitting is fully deterministic
     for a given feature-candidate sequence. `grow` grows it, alone or in
-    lockstep with other trees, into the same trees, byte for byte, as
-    sorting and scoring every candidate feature at every node.
+    lockstep with other trees, with one split search: each node sorts its
+    candidates' presorted-rank keys and scores every split position of
+    each, which gives the same trees, byte for byte, as sorting and scoring
+    every candidate feature at every node.
     A tree is the one-tree `TreeEnsemble` of itself.
     """
 
@@ -144,10 +146,11 @@ def grow(trees: list[RegressionTree], X: np.ndarray, y: np.ndarray, rngs: list,
     Splits minimize the summed SSE of the two children at midpoints between
     consecutive distinct values, with at least `min_samples_leaf` rows on
     each side; the first least SSE in candidate then position order wins.
-    Without feature subsampling each feature is sorted once per tree and a
-    split's children filter their parent's sorted rows; with it, a node
-    sorts its drawn candidates' sort keys, each row's rank in its tree's
-    order. Either gives the node's stable sort by x. The floating-point
+    Each feature is sorted once per tree, and every node sorts its
+    candidates' sort keys: a row's key is its rank in its tree's order with
+    the row in the low bits, so the sorted keys give the node's stable sort
+    by x. The candidates are the drawn features, or all of them without
+    feature subsampling. The floating-point
     operations are those of sorting and scoring every candidate at every
     node, in the same order, so the trees are the same bytes as grown one
     node at a time: a node's mean is `np.add.reduce` of its targets in row
@@ -187,26 +190,23 @@ def grow(trees: list[RegressionTree], X: np.ndarray, y: np.ndarray, rngs: list,
     ordered = XT.take(order + offsets)
     ties = not (ordered[..., 1:] > ordered[..., :-1]).all()
     ordered = None
-    if draw:
-        # A row's key for feature f: its rank in its tree's order of f above
-        # the row, which the low bits keep. The pad row's key sorts last.
-        # Nodes sort keys, so none keeps sorted rows.
-        shift = N.bit_length()
-        key = np.empty((p, N + 1), dtype=np.int64)
-        by_feature = order.transpose(1, 0, 2)
-        key[np.arange(p)[:, None, None], by_feature] = by_feature | np.arange(n) << shift
-        key[:, N] = n << shift | N
-        order = by_feature = None
+    # A row's key for feature f: its rank in its tree's order of f above the
+    # row, which the low bits keep. The pad row's key sorts last. Keys take
+    # the smallest type that holds them: on an AVX-512 x86 core, sorting a
+    # node of 10 features × 750 rows took half as long in 32 bits as in 64.
+    shift = N.bit_length()
+    key = np.empty((p, N + 1), dtype=np.min_scalar_type(n << shift | N))
+    by_feature = order.transpose(1, 0, 2)
+    key[np.arange(p)[:, None, None], by_feature] = by_feature | np.arange(n) << shift
+    key[:, N] = n << shift | N
+    order = by_feature = None
     fitted = np.empty(N) if predict else None
-    go = np.empty(N, dtype=bool)  # a split node's rows' sides
     nodes = [([-1], [0.0], [-1], [-1], [0.0]) for _ in range(T)]  # as RegressionTree.FITTED
     stacks = [[] for _ in range(T)]
 
-    def make(t, node, rows, sorted_rows, depth):
+    def make(t, node, rows, depth):
         """Set tree t's new node's mean, and stack it, with its SSE, to be
-        scored if it can split. `rows` are its rows in row order, and
-        `sorted_rows` each feature's rows sorted, or None: only nodes that
-        can split without feature subsampling keep them."""
+        scored if it can split. `rows` are its rows in row order."""
         ys = targets[rows]
         mean = float(np.add.reduce(ys)) / rows.size
         nodes[t][4][node] = mean
@@ -214,19 +214,18 @@ def grow(trees: list[RegressionTree], X: np.ndarray, y: np.ndarray, rngs: list,
             dev = ys - mean
             sse = float(np.add.reduce(dev * dev))
             if not sse <= 0.0:
-                stacks[t].append((t, node, rows, sorted_rows, depth, sse))
+                stacks[t].append((t, node, rows, depth, sse))
                 return
         if predict:
             fitted[rows] = mean
 
-    def padded(arrays):
-        """The group's arrays stacked, each padded along its last axis with
-        the pad row to the group's largest node's size."""
-        size = [a.shape[-1] for a in arrays]
-        stacked = np.full((len(arrays), *arrays[0].shape[:-1], size[0]), N)
-        inside = np.arange(size[0]) < np.array(size).reshape(-1, *[1] * arrays[0].ndim)
-        stacked[np.broadcast_to(inside, stacked.shape)] = np.concatenate(
-            [a.ravel() for a in arrays])
+    def padded(group):
+        """The group's nodes' rows stacked, each padded with the pad row to
+        the group's largest node's size."""
+        size = np.array([entry[2].size for entry in group])
+        stacked = np.full((len(group), size[0]), N)
+        stacked[np.arange(size[0]) < size[:, None]] = np.concatenate(
+            [entry[2] for entry in group])
         return stacked
 
     def split(group):
@@ -243,14 +242,11 @@ def grow(trees: list[RegressionTree], X: np.ndarray, y: np.ndarray, rngs: list,
             columns = candidates[:, :, None] * (N + 1)
             if m == 1:
                 columns = columns[0]
-                keys = key.take(group[0][2] + columns)
-            else:
-                keys = key.take(padded([entry[2] for entry in group])[:, None, :] + columns)
-            keys.sort(-1)
-            ranked = keys & ((1 << shift) - 1)
         else:
             columns = offsets
-            ranked = group[0][3] if m == 1 else padded([entry[3] for entry in group])
+        keys = key.take((group[0][2] if m == 1 else padded(group)[:, None, :]) + columns)
+        keys.sort(-1)
+        ranked = keys & ((1 << shift) - 1)
 
         # Score the split after each sorted position k that leaves `leaf`
         # rows on each side of the group's largest node; for a smaller node,
@@ -283,7 +279,7 @@ def grow(trees: list[RegressionTree], X: np.ndarray, y: np.ndarray, rngs: list,
         ranked = ranked.reshape(m, -1, L)
         width = L - 2 * leaf + 1
         bests = [int(child_sse.argmin())] if m == 1 else child_sse.argmin(1).tolist()
-        for i, (t, node, rows, sorted_rows, depth, node_sse), best in zip(range(m), group, bests):
+        for i, (t, node, rows, depth, node_sse), best in zip(range(m), group, bests):
             # The first least SSE, in candidate then position order, is the
             # first candidate's with the least SSE, at its first position with
             # it. argmin takes a NaN first; a candidate with one must lose, as
@@ -325,24 +321,12 @@ def grow(trees: list[RegressionTree], X: np.ndarray, y: np.ndarray, rngs: list,
             tree_right += (-1, -1)
             tree_value += (0.0, 0.0)
             depth += 1
-            left_splits = depth < max_depth and left_rows.size >= 2 * leaf
-            right_splits = depth < max_depth and right_rows.size >= 2 * leaf
-            left_sorted = right_sorted = None
-            if sorted_rows is not None and (left_splits or right_splits):
-                # go holds this node's rows' sides; only its own children read
-                # them. Filtering the node's sorted rows keeps them sorted.
-                go[rows] = go_left
-                goes_left = go[sorted_rows]
-                if left_splits:
-                    left_sorted = sorted_rows[goes_left].reshape(p, -1)
-                if right_splits:
-                    right_sorted = sorted_rows[~goes_left].reshape(p, -1)
             # the left child is stacked last, so it is scored first
-            make(t, lid + 1, right_rows, right_sorted, depth)
-            make(t, lid, left_rows, left_sorted, depth)
+            make(t, lid + 1, right_rows, depth)
+            make(t, lid, left_rows, depth)
 
     for t in range(T):
-        make(t, 0, np.arange(t * n, t * n + n), None if draw else order[t], 0)
+        make(t, 0, np.arange(t * n, t * n + n), 0)
     while True:
         step = [stack.pop() for stack in stacks if stack]
         if len(step) == 1:

@@ -132,9 +132,11 @@ def _content_lines(path: str, kind: str) -> list[tuple[int, str]]:
 
 
 def parse_config_file(path: str | os.PathLike[str]) -> dict[str, str]:
-    """Read a flat `key = value` config file; '#' starts a comment line."""
+    """Read a flat `key = value` config file; '#' starts a comment line. A key
+    may be set once."""
     path = os.fspath(path)
     values: dict[str, str] = {}
+    lines: dict[str, int] = {}
     for lineno, text in _content_lines(path, "config"):
         if "=" not in text:
             raise ConfigError(f"{path}:{lineno}: expected 'key = value', got '{text}'")
@@ -142,6 +144,9 @@ def parse_config_file(path: str | os.PathLike[str]) -> dict[str, str]:
         key = key.strip()
         if key not in {f.key for f in CONFIG_FIELDS}:
             raise ConfigError(f"{path}:{lineno}: unknown config key '{key}'")
+        if key in lines:
+            raise ConfigError(f"{path}:{lineno}: key '{key}' repeats line {lines[key]}")
+        lines[key] = lineno
         values[key] = value.strip()
     return values
 
@@ -252,7 +257,7 @@ def read_summary_csv(path: str | os.PathLike[str]) -> list[SuiteSummaryRow]:
 
 def correlate_rows(rows: list[SuiteSummaryRow]) -> CorrelationResult:
     """Spearman correlation between Rashomon ratio and coverage rate over the
-    rows with defined metrics."""
+    rows with defined metrics; ConfigError if it is undefined there."""
     defined = [(r.rr, r.cr) for r in rows if r.rr is not None and r.cr is not None]
     if len(defined) < 4:
         raise ConfigError(
@@ -260,6 +265,10 @@ def correlate_rows(rows: list[SuiteSummaryRow]) -> CorrelationResult:
         )
     rr = [d[0] for d in defined]
     cr = [d[1] for d in defined]
+    for name, column in (("rr", rr), ("cr", cr)):
+        if len(set(column)) == 1:
+            raise ConfigError(f"correlation is undefined: all {len(column)} rows with "
+                              f"defined metrics have {name} {column[0]}")
     return spearman(rr, cr)
 
 

@@ -372,6 +372,7 @@ def test_forest_trees_in_lockstep_equal_ranges_and_the_per_node_grower(case):
     (300, 7, [2], "normal", 12, [5], "sqrt"),
     (300, 10, [0, 3], "normal", 12, [1, 7], "third"),
     (260, 1, [], "normal", 9, [4], "sqrt"),  # one feature: no draws, every tree scores it
+    (260, 1, [0], "normal", 9, [4], "third"),  # the same, tied: its nodes read x to check splits
     (200, 3, [1], "overflow", 8, [3], "third"),
     (40, 2, [0, 1], "one odd", 12, [6], "sqrt"),
 ])

@@ -1014,6 +1014,76 @@ class TestCli:
         assert "error: out must be set, got ''" in capsys.readouterr().err
         assert sorted(p.name for p in tmp_path.iterdir()) == ["run.cfg", "suite.txt"]
 
+    @pytest.mark.parametrize("args", [
+        ["explain", "--config", ""],
+        ["explain", "--save-pool", ""],
+        ["explain", "--load-pool", ""],
+        ["suite", "--configs", ""],
+        ["correlate", "--summary", ""],
+    ], ids=lambda args: args[1])
+    def test_empty_path_flag_exit_one_before_reading(self, linear_csv, tmp_path, capsys,
+                                                     monkeypatch, args):
+        def never(*args, **kwargs):
+            raise AssertionError("a config, entry or summary was read or a pool trained")
+
+        for name in ("_prepare", "read_summary_csv", "train_pool"):
+            monkeypatch.setattr(f"rashpdp.report.{name}", never)
+        monkeypatch.setattr("rashpdp.cli._read_suite_configs", never)
+        monkeypatch.chdir(tmp_path)
+        flags = ["--data", linear_csv, "--target", "y"] if args[0] == "explain" else []
+        assert main([*args, *flags, "--out", "o"]) == 1
+        assert capsys.readouterr().err == f"error: {args[1]} must be set, got ''\n"
+        assert list(tmp_path.iterdir()) == []
+
+    def test_config_key_set_twice_exit_one(self, linear_csv, tmp_path, capsys, monkeypatch):
+        def never(*args, **kwargs):
+            raise AssertionError("the run was prepared")
+
+        monkeypatch.setattr("rashpdp.report._prepare", never)
+        cfg_file = tmp_path / "run.cfg"
+        cfg_file.write_text(f"data = {linear_csv}\ntarget = y\n# tolerance\nepsilon = 0.1\n"
+                            "max_models = 2\nepsilon = 0.5\n", encoding="utf-8")
+        assert main(["explain", "--config", str(cfg_file), "--out", str(tmp_path / "o")]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {cfg_file}:6: key 'epsilon' repeats line 4\n")
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("column", ["rr", "cr"])
+    def test_correlate_constant_column_exit_one(self, tmp_path, capsys, column):
+        rows = [SuiteSummaryRow(f"d{i}", 1.0, 5, 2, 0.15 if column == "rr" else 0.1 * i,
+                                0.5, 1.0 if column == "cr" else 0.2 * i) for i in range(4)]
+        write_summary_csv(rows, tmp_path / "s.csv")
+        code = main(["correlate", "--summary", str(tmp_path / "s.csv"),
+                     "--out", str(tmp_path / "o")])
+        assert code == 1
+        value = 0.15 if column == "rr" else 1.0
+        assert capsys.readouterr().err == (
+            f"error: correlation is undefined: all 4 rows with defined metrics "
+            f"have {column} {value}\n")
+        assert not (tmp_path / "o").exists()
+
+    def test_suite_constant_rr_column_skips_correlation_with_warning(self, tmp_path, capsys):
+        # Two models, both in the set: every entry has rr 2/2 = 1.
+        listing = []
+        for i in range(4):
+            save_csv(make_linear(n_rows=60, noise=0.3, seed=i, name=f"d{i}"),
+                     tmp_path / f"d{i}.csv")
+            (tmp_path / f"d{i}.cfg").write_text(
+                f"data = d{i}.csv\ntarget = y\nfeatures = x1\nmax_models = 2\n"
+                "epsilon = 10\nbootstrap = 20\ngrid = 4\n", encoding="utf-8")
+            listing.append(f"d{i}.cfg")
+        (tmp_path / "suite.txt").write_text("\n".join(listing) + "\n", encoding="utf-8")
+        code = main(["suite", "--configs", str(tmp_path / "suite.txt"),
+                     "--out", str(tmp_path / "s")])
+        assert code == 0
+        warning = "correlation is undefined: all 4 rows with defined metrics have rr 1.0"
+        assert f"warning: {warning}\n" in capsys.readouterr().err
+        rows = read_summary_csv(tmp_path / "s" / "summary.csv")
+        assert [row.rr for row in rows] == [1.0] * 4
+        report = json.loads((tmp_path / "s" / "suite_report.json").read_text())
+        assert report["correlation"] is None
+        assert report["warnings"] == [warning]
+
     def test_feature_flag_with_comma_exit_one(self, linear_csv, tmp_path, capsys):
         code = main(["explain", "--data", linear_csv, "--target", "y", "--feature", "x1,x2",
                      "--out", str(tmp_path / "o")])
