@@ -194,8 +194,10 @@ def grow(trees: list[RegressionTree], X: np.ndarray, y: np.ndarray, rngs: list,
     # row, which the low bits keep. The pad row's key sorts last. Keys take
     # the smallest type that holds them: on an AVX-512 x86 core, sorting a
     # node of 10 features × 750 rows took half as long in 32 bits as in 64.
+    # The type is signed (~k fits one exactly when k does): an unsigned
+    # 64-bit row number plus an int64 column offset would promote to float.
     shift = N.bit_length()
-    key = np.empty((p, N + 1), dtype=np.min_scalar_type(n << shift | N))
+    key = np.empty((p, N + 1), dtype=np.min_scalar_type(~(n << shift | N)))
     by_feature = order.transpose(1, 0, 2)
     key[np.arange(p)[:, None, None], by_feature] = by_feature | np.arange(n) << shift
     key[:, N] = n << shift | N

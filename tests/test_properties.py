@@ -415,6 +415,16 @@ def test_untied_trees_in_lockstep_equal_the_per_node_grower(max_features):
         same_trees(tree, fit_per_node(oracle, X[t], y[t], np.random.default_rng(t)))
 
 
+def test_tied_tree_whose_keys_pass_32_bits_equals_the_per_node_grower():
+    # 65 536 rows put the largest sort key at 2**33: the keys are 64-bit,
+    # and the tied column makes each node read x at its ranked rows.
+    rng = np.random.default_rng(9)
+    X = rng.integers(0, 20, size=(1 << 16, 1)).astype(np.float64)
+    y = X[:, 0] + rng.normal(size=1 << 16)
+    tree = RegressionTree(max_depth=1).fit(X, y)
+    same_trees(tree, fit_per_node(RegressionTree(max_depth=1), X, y))
+
+
 def test_boosting_stages_equal_per_node_grower_on_300_rows():
     ds = make_friedman(n_rows=300, seed=4)
     X, y = ds.features, ds.target
