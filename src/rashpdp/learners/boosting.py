@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .tree import RegressionTree, TreeEnsemble, presort
+from .tree import RegressionTree, TreeEnsemble, rank
 
 BOOSTING_MIN_SAMPLES_LEAF = 5
 
@@ -15,7 +15,7 @@ class GradientBoostingRegression(TreeEnsemble):
     Final predictions are clamped to the observed training-target range so
     boosted outputs, like plain tree averages, never extrapolate beyond the
     targets seen in training. Every stage grows on the same X, so `fit`
-    sorts it once (`presort`) and hands that order to each stage's grower.
+    ranks it once (`rank`) and hands the ranks to each stage's grower.
     """
 
     FITTED = dict(init_=float, y_min_=float, y_max_=float, **TreeEnsemble.FITTED)
@@ -40,14 +40,14 @@ class GradientBoostingRegression(TreeEnsemble):
         self.y_max_ = float(y.max())
         self.trees_ = []
         pred = np.full(y.shape, self.init_)
-        order = presort(X)
+        ranks = rank(X)
         for _ in range(self.n_estimators):
             residual = y - pred
             tree = RegressionTree(
                 max_depth=self.max_depth,
                 min_samples_leaf=BOOSTING_MIN_SAMPLES_LEAF,
             )
-            pred += self.learning_rate * tree.fit_predict(X, residual, order=order)
+            pred += self.learning_rate * tree.fit_predict(X, residual, ranks=ranks)
             self.trees_.append(tree)
         return self
 

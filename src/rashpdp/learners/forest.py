@@ -6,7 +6,7 @@ import math
 
 import numpy as np
 
-from .tree import RegressionTree, TreeEnsemble, grow
+from .tree import RegressionTree, TreeEnsemble, grow, rank
 
 # Desk-scale fixed knobs; only tree count and feature subsampling are searched.
 FOREST_MAX_DEPTH = 18
@@ -73,7 +73,7 @@ class RandomForestRegression(TreeEnsemble):
                                 min_samples_leaf=FOREST_MIN_SAMPLES_LEAF,
                                 max_features=MAX_FEATURES[self.max_features](p))
                  for _ in trees]
-        grow(grown, X[rows], y[rows], rngs)
+        grow(grown, X[rows], y[rows], rngs, rank(X)[:, rows])
         return grown
 
     def _combine(self, predictions) -> np.ndarray:

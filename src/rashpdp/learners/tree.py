@@ -61,9 +61,9 @@ class RegressionTree(TreeEnsemble):
     left. Feature scan order breaks ties, so fitting is fully deterministic
     for a given feature-candidate sequence. `grow` grows it, alone or in
     lockstep with other trees, with one split search: each node sorts its
-    candidates' presorted-rank keys and scores every split position of
-    each, which gives the same trees, byte for byte, as sorting and scoring
-    every candidate feature at every node.
+    candidates' rank keys and scores each one's positions where its rank
+    rises, which gives the same trees, byte for byte, as sorting and scoring
+    every candidate feature at every node. `rank` rejects a NaN in X.
     A tree is the one-tree `TreeEnsemble` of itself.
     """
 
@@ -101,15 +101,15 @@ class RegressionTree(TreeEnsemble):
 
     def fit_predict(self, X: np.ndarray, y: np.ndarray,
                     rng: np.random.Generator | None = None,
-                    order: np.ndarray | None = None) -> np.ndarray:
+                    ranks: np.ndarray | None = None) -> np.ndarray:
         """Grow the tree as `fit` does and return `predict_many(X)` without
         walking X: each leaf writes its value to its rows when the grower
-        makes it. Only this builds that vector; `fit` does not. `order` is
-        `presort(X)`, made here if not given: boosting sorts X once for all
+        makes it. Only this builds that vector; `fit` does not. `ranks` is
+        `rank(X)`, made here if not given: boosting ranks X once for all
         its stages."""
         X = np.asarray(X, dtype=np.float64)
         (fitted,) = grow([self], X[None], np.asarray(y, dtype=np.float64)[None], [rng],
-                         None if order is None else order[None], predict=True)
+                         None if ranks is None else ranks[:, None], predict=True)
         return fitted
 
     def _combine(self, predictions) -> np.ndarray:
@@ -120,19 +120,30 @@ class RegressionTree(TreeEnsemble):
 TreeEnsemble.FITTED = dict(trees_=RegressionTree)
 
 
-def presort(X: np.ndarray) -> np.ndarray:
-    """Each feature's rows of X by increasing value, ties in row order: one
-    row of row indices per column, the `order` that `fit_predict` takes."""
-    return np.argsort(np.asarray(X, dtype=np.float64).T, axis=1, kind="stable")
+def rank(X: np.ndarray) -> np.ndarray:
+    """Each feature's dense ranks of the rows of X, of shape (..., n, p), as
+    (p, ..., n): 0 at the least value, one more at each higher one, and one
+    rank for equal values (-0.0 and 0.0 too). A NaN would share the last
+    finite value's rank, so it raises ValueError."""
+    x = np.moveaxis(np.asarray(X, dtype=np.float64), -1, 0)
+    order = np.argsort(x, axis=-1)  # equal values share a rank in any order
+    xs = np.take_along_axis(x, order, -1)
+    nan = np.nonzero(np.isnan(xs[..., -1:]))[0]  # NaN sorts last
+    if nan.size:
+        raise ValueError(f"X column {nan[0]} holds NaN: tree features must not")
+    ranks = np.zeros_like(order)
+    np.cumsum(xs[..., 1:] > xs[..., :-1], axis=-1, out=ranks[..., 1:])
+    np.put_along_axis(ranks, order, ranks.copy(), -1)  # from sorted order to row order
+    return ranks
 
 
 def grow(trees: list[RegressionTree], X: np.ndarray, y: np.ndarray, rngs: list,
-         order: np.ndarray | None = None, predict: bool = False) -> np.ndarray | None:
+         ranks: np.ndarray | None = None, predict: bool = False) -> np.ndarray | None:
     """Grow `trees`, which share their settings, tree t on (X[t], y[t]) with
     candidate features drawn from rngs[t], and set their node arrays. With
     `predict`, return each tree's in-sample predictions, one row per tree:
-    each row gets its leaf's value. `order` holds each tree's `presort`, made
-    here if not given.
+    each row gets its leaf's value. `ranks` is `rank(X)`, made here if not
+    given; any ranks below n with its order and ties grow the same trees.
 
     The trees grow in lockstep, each depth first as it would alone. A node
     is made with its mean, and with its SSE if it is not too deep or too
@@ -146,10 +157,10 @@ def grow(trees: list[RegressionTree], X: np.ndarray, y: np.ndarray, rngs: list,
     Splits minimize the summed SSE of the two children at midpoints between
     consecutive distinct values, with at least `min_samples_leaf` rows on
     each side; the first least SSE in candidate then position order wins.
-    Each feature is sorted once per tree, and every node sorts its
-    candidates' sort keys: a row's key is its rank in its tree's order with
+    Every node sorts its candidates' sort keys: a row's key is its rank with
     the row in the low bits, so the sorted keys give the node's stable sort
-    by x. The candidates are the drawn features, or all of them without
+    by x, and a split between two of them is valid where the rank rises.
+    The candidates are the drawn features, or all of them without
     feature subsampling. The floating-point
     operations are those of sorting and scoring every candidate at every
     node, in the same order, so the trees are the same bytes as grown one
@@ -165,8 +176,8 @@ def grow(trees: list[RegressionTree], X: np.ndarray, y: np.ndarray, rngs: list,
     if tree.max_features is not None and None in rngs:
         raise ValueError("feature subsampling requires an rng")
     draw = tree.max_features if tree.max_features is not None and tree.max_features < p else 0
-    if order is None:
-        order = np.argsort(X.transpose(0, 2, 1), axis=2, kind="stable")
+    if ranks is None:
+        ranks = rank(X)
     # Tree t's row r is row t * n + r of all the trees' rows. Row N pads a
     # node's positions up to its group's largest node. Its y of 0 leaves the
     # node's Σy and Σy² at the end of the padded positions, and a position
@@ -183,25 +194,17 @@ def grow(trees: list[RegressionTree], X: np.ndarray, y: np.ndarray, rngs: list,
     counts = np.arange(n + 1, dtype=np.float64)
     descending = counts[::-1].copy()
     offsets = np.arange(0, p * (N + 1), N + 1)[:, None]  # where each feature's x start in XT
-    if T > 1:
-        order = order + (np.arange(T) * n)[:, None, None]
-    # Where no tree's column holds a tie (or a NaN), every split position is
-    # valid, so nodes need not read x to check it.
-    ordered = XT.take(order + offsets)
-    ties = not (ordered[..., 1:] > ordered[..., :-1]).all()
-    ordered = None
-    # A row's key for feature f: its rank in its tree's order of f above the
+    # A row's key for feature f: its tree's rank of its x in f above the
     # row, which the low bits keep. The pad row's key sorts last. Keys take
     # the smallest type that holds them: on an AVX-512 x86 core, sorting a
     # node of 10 features × 750 rows took half as long in 32 bits as in 64.
     # The type is signed (~k fits one exactly when k does): an unsigned
     # 64-bit row number plus an int64 column offset would promote to float.
     shift = N.bit_length()
+    rows_of = (1 << shift) - 1  # a key's low bits: its row
     key = np.empty((p, N + 1), dtype=np.min_scalar_type(~(n << shift | N)))
-    by_feature = order.transpose(1, 0, 2)
-    key[np.arange(p)[:, None, None], by_feature] = by_feature | np.arange(n) << shift
+    key[:, :N] = ranks.reshape(p, N) << shift | np.arange(N)
     key[:, N] = n << shift | N
-    order = by_feature = None
     fitted = np.empty(N) if predict else None
     nodes = [([-1], [0.0], [-1], [-1], [0.0]) for _ in range(T)]  # as RegressionTree.FITTED
     stacks = [[] for _ in range(T)]
@@ -248,35 +251,27 @@ def grow(trees: list[RegressionTree], X: np.ndarray, y: np.ndarray, rngs: list,
             columns = offsets
         keys = key.take((group[0][2] if m == 1 else padded(group)[:, None, :]) + columns)
         keys.sort(-1)
-        ranked = keys & ((1 << shift) - 1)
+        ranked = keys & rows_of
 
         # Score the split after each sorted position k that leaves `leaf`
         # rows on each side of the group's largest node; for a smaller node,
         # the positions that leave it fewer than `leaf` rows on the right
-        # score inf. The split is valid if x at k + 1 is above x at k, so x
-        # is needed at positions leaf - 1 .. L - leaf only.
+        # score inf. The split is invalid unless x at k + 1 is above x at k:
+        # unless key k + 1 is above key k with all its row bits set.
         sums = ysq.take(ranked, 1).cumsum(-1)  # Σy, Σy²; (node;) candidate; position
         lefts = sums[..., leaf - 1:L - leaf]
         rights = sums[..., -1:] - lefts
         n_left = counts[leaf:L - leaf + 1]
-        valid = None
-        if ties:
-            xs = XT.take(ranked[..., leaf - 1:L - leaf + 1] + columns)
-            valid = xs[..., 1:] > xs[..., :-1]
+        invalid = keys[..., leaf:L - leaf + 1] <= keys[..., leaf - 1:L - leaf] | rows_of
         if group[-1][2].size == L:
             n_right = descending[n - L + leaf:n - leaf + 1]
         else:
             n_right = np.array([entry[2].size for entry in group])[:, None, None] - n_left
-            fits = n_right >= leaf
-            if valid is None:  # no ties: only the node's size limits its splits
-                valid = fits.repeat(ranked.shape[1], 1)
-            else:
-                valid &= fits
+            invalid |= n_right < leaf
             n_right = np.maximum(n_right, 1.0)  # to no effect
         child_sse = lefts[1] - lefts[0] ** 2 / n_left
         child_sse += rights[1] - rights[0] ** 2 / n_right
-        if valid is not None:
-            child_sse[~valid] = np.inf
+        np.putmask(child_sse, invalid, np.inf)
         child_sse = child_sse.reshape(m, -1)
         ranked = ranked.reshape(m, -1, L)
         width = L - 2 * leaf + 1

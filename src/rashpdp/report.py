@@ -218,6 +218,13 @@ def write_summary_csv(rows: list[SuiteSummaryRow], path: str | os.PathLike[str])
             ])
 
 
+def _finite(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"{text!r} is not a finite number")
+    return value
+
+
 def read_summary_csv(path: str | os.PathLike[str]) -> list[SuiteSummaryRow]:
     """Parse a suite summary table (ours or the bundled benchmark fixture)."""
     path = os.fspath(path)
@@ -243,12 +250,12 @@ def read_summary_csv(path: str | os.PathLike[str]) -> list[SuiteSummaryRow]:
             try:
                 rows.append(SuiteSummaryRow(
                     dataset=dataset,
-                    bmp=float(bmp),
+                    bmp=_finite(bmp),
                     mss=int(mss),
                     rss=int(rss),
-                    rr=None if rr == NA else float(rr),
-                    mwci=None if mwci_s == NA else float(mwci_s),
-                    cr=None if cr == NA else float(cr),
+                    rr=None if rr == NA else _finite(rr),
+                    mwci=None if mwci_s == NA else _finite(mwci_s),
+                    cr=None if cr == NA else _finite(cr),
                 ))
             except ValueError as exc:
                 raise DataError(f"{path}:{lineno}: {exc}") from None

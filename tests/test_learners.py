@@ -119,6 +119,20 @@ def test_unfitted_model_refuses_to_predict(make_model):
             model.predict_grid(X, {0: np.array([0.0, 1.0])})
 
 
+@pytest.mark.parametrize("make_model", [
+    lambda: RegressionTree(),
+    lambda: RandomForestRegression(n_estimators=3),
+    lambda: GradientBoostingRegression(n_estimators=3),
+], ids=["tree", "forest", "boosting"])
+def test_tree_families_reject_nan_in_x_naming_its_column(make_model):
+    # a NaN would share its column's last finite rank and change the trees
+    rng = np.random.default_rng(3)
+    X, y = rng.integers(0, 3, size=(30, 3)).astype(np.float64), rng.normal(size=30)
+    X[7, 1] = np.nan
+    with pytest.raises(ValueError, match="X column 1 holds NaN"):
+        make_model().fit(X, y)
+
+
 class TestRegressionTree:
     def test_stump_finds_the_obvious_split(self):
         X = np.array([[0.0], [1.0], [2.0], [3.0]])

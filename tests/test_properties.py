@@ -16,7 +16,7 @@ from rashpdp.learners.boosting import BOOSTING_MIN_SAMPLES_LEAF
 from rashpdp.learners import forest as forest_module
 from rashpdp.learners.forest import FOREST_MAX_DEPTH, FOREST_MIN_SAMPLES_LEAF, MAX_FEATURES
 from rashpdp.learners.knn import _QUERY_CHUNK
-from rashpdp.learners.tree import GRID_CHUNK, grow, presort
+from rashpdp.learners.tree import GRID_CHUNK, grow, rank
 from rashpdp.metrics import coverage_rate, mwci
 from rashpdp.pdp import RashomonPdpResult, bootstrap_bands
 from rashpdp.rashomon import form_set
@@ -250,7 +250,7 @@ def test_predict_many_equals_per_row_walk(fitted, values):
             assert tree.predict_many(rows).tobytes() == walked.tobytes()
 
 
-# --- presorted growth equals the per-node grower -----------------------------
+# --- rank-keyed growth equals the per-node grower ----------------------------
 
 @st.composite
 def tree_fits(draw):
@@ -289,6 +289,29 @@ def test_presorted_fit_equals_per_node_grower(case):
     for name in RegressionTree.FITTED:
         assert getattr(grown, name).tobytes() == getattr(oracle, name).tobytes(), name
     assert rng.random() == oracle_rng.random()
+
+
+@COMMON
+@given(case=tree_fits(), seed=seeds)
+def test_rank_keys_sort_a_node_stably_and_rise_where_x_does(case, seed):
+    # A row's key is its rank above its row number, as `grow` makes it; a
+    # node's rows are any of X's rows in row order, so their ranks need not
+    # be dense.
+    _, X, _, _ = case
+    rng = np.random.default_rng(seed)
+    X[(X == 0.0) & (rng.random(X.shape) < 0.5)] = -0.0  # beside 0.0, one rank
+    X[X == 5.0], X[X == 6.0] = -np.inf, np.inf
+    n = len(X)
+    shift = n.bit_length()
+    row_bits = (1 << shift) - 1
+    keys = rank(X) << shift | np.arange(n)
+    rows = np.flatnonzero(rng.random(n) < 0.7)
+    for f, x in enumerate(X.T):
+        node = np.sort(keys[f, rows])
+        order = np.argsort(x[rows], kind="stable")
+        assert (node & row_bits).tolist() == rows[order].tolist()
+        xs = x[rows][order]
+        assert (node[1:] > node[:-1] | row_bits).tolist() == (xs[1:] > xs[:-1]).tolist()
 
 
 def same_trees(grown, oracle):
@@ -451,13 +474,13 @@ def test_feature_whose_scores_hold_nan_loses_as_with_the_per_node_grower():
 
 
 @pytest.mark.parametrize("max_features", [None, 3])
-def test_fit_predict_with_presorted_order_equals_sorting_itself(max_features):
+def test_fit_predict_with_given_ranks_equals_ranking_itself(max_features):
     ds = make_friedman(n_rows=300, seed=5)
     X, y = ds.features, ds.target
-    given_order, itself = (RegressionTree(max_features=max_features) for _ in range(2))
-    fitted = given_order.fit_predict(X, y, np.random.default_rng(1), order=presort(X))
+    given_ranks, itself = (RegressionTree(max_features=max_features) for _ in range(2))
+    fitted = given_ranks.fit_predict(X, y, np.random.default_rng(1), ranks=rank(X))
     assert fitted.tobytes() == itself.fit_predict(X, y, np.random.default_rng(1)).tobytes()
-    same_trees(given_order, itself)
+    same_trees(given_ranks, itself)
 
 
 @COMMON

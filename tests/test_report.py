@@ -1048,6 +1048,19 @@ class TestCli:
             f"error: {cfg_file}:6: key 'epsilon' repeats line 4\n")
         assert not (tmp_path / "o").exists()
 
+    def test_correlate_non_finite_summary_value_exit_two(self, tmp_path, capsys):
+        rows = [SuiteSummaryRow(f"d{i}", 1.0, 5, 2, 0.1 * i, 0.5, 0.2 * i) for i in range(4)]
+        write_summary_csv(rows, tmp_path / "s.csv")
+        lines = (tmp_path / "s.csv").read_text(encoding="utf-8").splitlines()
+        lines[3] = "d2,1,5,2,nan,0.5,0.4"
+        (tmp_path / "s.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+        code = main(["correlate", "--summary", str(tmp_path / "s.csv"),
+                     "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"data error: {tmp_path / 's.csv'}:4: 'nan' is not a finite number\n")
+        assert not (tmp_path / "o").exists()
+
     @pytest.mark.parametrize("column", ["rr", "cr"])
     def test_correlate_constant_column_exit_one(self, tmp_path, capsys, column):
         rows = [SuiteSummaryRow(f"d{i}", 1.0, 5, 2, 0.15 if column == "rr" else 0.1 * i,
