@@ -6,6 +6,15 @@ bootstrap confidence bands, and scores how well the single best model's
 explanation agrees with the aggregate.
 """
 
+import os
+
+# One OpenBLAS thread, unless the user sets another count: `--workers` is a
+# run's only parallelism. More BLAS threads only spin beside the Python thread,
+# on the cores the workers use, and with one the k-NN prediction bytes no
+# longer depend on the machine's core count. OpenBLAS reads this when numpy
+# loads it, so it is set before anything here imports numpy.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 from .data import Dataset, Split, feature_grid, load_csv, save_csv, split
 from .errors import ConfigError, DataError, RashpdpError
 from .learners import (

@@ -5,7 +5,13 @@ from __future__ import annotations
 import numpy as np
 
 # Trees that one GridWalk takes side by side: each level's numpy calls serve
-# them all. 8 measured best on the benchmark's all-feature profile.
+# them all. On the `profile` benchmark archive's 10-feature passes, sizes
+# rotated in one process (least of 15 rounds, 2-core x86 with AVX-512), the
+# forest took 0.159 / 0.151 / 0.150 s at 4 / 8 / 16 trees and boosting 0.083 /
+# 0.073 / 0.076 s. 16 won neither pass there and doubles the walk's memory
+# (the forest pass's traced peak 4.6 -> 8.2 MB), though on the `train`
+# archive's one feature it took 0.043 s for the forest and 0.017 s for
+# boosting, against 0.050 and 0.021 s at 8.
 GRID_CHUNK = 8
 # The grower scores a step's nodes in groups of like size, padded to each
 # group's largest: a group ends where padding the rest to it would cost more
@@ -360,14 +366,17 @@ def _groups(sizes: list[int], width: int):
 class GridWalk:
     """The tiled predictions of `TreeEnsemble.predict_grid`, for several trees
     at once, without tiling: each row of `base` walks each tree once, down its
-    own path. At the first node on that path that tests a feature j of
-    `grids`, a walker for (row, j) starts with the grid-index range [0, G). At
-    a node testing another feature it follows the row; at one testing j its
-    range splits at the grid values <= the threshold, which go left, and a
-    second walker takes the right part. A leaf writes its value to a walker's
-    range; a (row, j) whose path never tests j starts at its row's leaf, so it
-    has that leaf's value at every grid point. Every (grid value, row) so
-    reaches the leaf its tiled row reaches.
+    own path, for every feature j of `grids` at once. For each j it keeps the
+    grid-index range that follows that path, [0, G) at the root. At a node
+    testing j the range splits at the grid values <= the threshold, which go
+    left: the row's side keeps its part, and the other part, if not empty,
+    walks on from the other child as an off-path walker. An off-path walker
+    follows its row at a node testing another feature and splits the same way
+    at one testing j. A leaf writes its value to the ranges that reach it, the
+    row's own and the off-path walkers'; a (row, j) whose path never tests j
+    keeps [0, G) down to its row's leaf, so it has that leaf's value at every
+    grid point. Every (grid value, row) so reaches the leaf its tiled row
+    reaches.
 
     With no `grids`, the walk has one slot with a one-point grid that no node
     tests, so each tree's vector is each row's own leaf value: `GridWalk(X, {})`
@@ -400,34 +409,46 @@ class GridWalk:
             cut[tests] = np.searchsorted(self.grids[s], threshold[tests], "right")
 
         # The base walk over pairs q = tree * n + row. A walker, and a piece
-        # of the output, is keyed by w = (tree * slots + slot) * n + row; it
-        # starts at the first node on its pair's path that tests its feature.
+        # of the output, is keyed by w = (tree * slots + slot) * n + row; each
+        # keeps the grid range [lo, hi) that follows its pair's own path. At a
+        # node testing its feature, the part on the other side of the cut
+        # leaves, if not empty, as an off-path walker for the other child.
         node = np.repeat(roots, n)
-        start = np.full(len(trees) * n_slots * n, -1, dtype=np.intp)
+        lo = np.zeros(len(trees) * n_slots * n, dtype=np.intp)
+        hi = np.tile(np.repeat(self.sizes, n), len(trees))
+        off = [(lo[:0], lo[:0], lo[:0], lo[:0])]  # w, node, lo, hi
         pairs = np.flatnonzero(feature[node] >= 0)
         while pairs.size:
             nodes = node[pairs]
-            tests = slot[nodes] >= 0
-            q, tested = pairs[tests], nodes[tests]
-            w = (q // n * n_slots + slot[tested]) * n + q % n  # distinct within a level
-            first = start[w] < 0
-            start[w[first]] = tested[first]
             go_left = self.base[pairs % n, feature[nodes]] <= threshold[nodes]
+            tests = slot[nodes] >= 0
+            q, tested, row_left = pairs[tests], nodes[tests], go_left[tests]
+            w = (q // n * n_slots + slot[tested]) * n + q % n  # distinct within a level
+            lo_w, hi_w, c = lo[w], hi[w], cut[tested]
+            left_end, right_start = np.minimum(hi_w, c), np.maximum(lo_w, c)
+            off_lo = np.where(row_left, right_start, lo_w)
+            off_hi = np.where(row_left, hi_w, left_end)
+            leaves = off_lo < off_hi
+            off.append((w[leaves], np.where(row_left, right[tested], left[tested])[leaves],
+                        off_lo[leaves], off_hi[leaves]))
+            lo[w] = np.where(row_left, lo_w, right_start)
+            hi[w] = np.where(row_left, left_end, hi_w)
             node[pairs] = nodes = np.where(go_left, left[nodes], right[nodes])
             pairs = pairs[feature[nodes] >= 0]
-        w = np.arange(start.size)  # a walker never testing its feature starts at its leaf
-        node_w = np.where(start < 0, node[w // (n_slots * n) * n + w % n], start)
-        lo, hi = np.zeros(w.size, dtype=np.intp), self.sizes[w // n % n_slots]
+        # what is left of a walker's range, if anything, takes its row's leaf
+        w = np.flatnonzero(lo < hi)
+        done = [(w, lo[w], hi[w], value[node[w // (n_slots * n) * n + w % n]])]
 
-        done = [(w[:0], lo[:0], hi[:0], value[:0])]  # so a walk without walkers has a piece
+        # The off-path walkers: at a node testing its own feature a walker's
+        # grid indices below the cut go left; elsewhere it goes where its base
+        # row goes.
+        w, node_w, lo, hi = (np.concatenate(part) for part in zip(*off))
         while w.size:
             f = feature[node_w]
             leaf = f < 0
             done.append((w[leaf], lo[leaf], hi[leaf], value[node_w[leaf]]))
             inner = ~leaf
             w, node_w, lo, hi, f = w[inner], node_w[inner], lo[inner], hi[inner], f[inner]
-            # At a node testing its own feature a walker's grid indices below
-            # the cut go left; elsewhere it goes where its base row goes.
             c = cut[node_w]
             own = slot[node_w] == w // n % n_slots
             go_left = np.where(own, c > lo, self.base[w % n, f] <= threshold[node_w])

@@ -84,8 +84,9 @@ def member_profiles(model: TrainedModel, ds: Dataset, rows: np.ndarray,
     `rows` are at least one integer row index of `ds`, and a grid must be
     finite and strictly increasing. A predictor with `predict_grid` (the tree
     families) returns one vector per feature from one call, which walks each
-    averaging row down each tree once and splits a feature's grid only where
-    the path tests it; the others predict one tiled matrix per feature."""
+    averaging row down each tree once for all the features and splits off a
+    feature's grid points only where the path tests that feature; the others
+    predict one tiled matrix per feature."""
     rows = row_indices(rows, ds.n_rows)
     grids = {j: np.asarray(grid, dtype=np.float64) for j, grid in grids.items()}
     for feature_index, grid in grids.items():

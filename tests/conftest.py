@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import rashpdp  # noqa: F401  # before numpy, so OpenBLAS starts with the package's one thread
+
 import numpy as np
 import pytest
 

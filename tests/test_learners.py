@@ -7,11 +7,16 @@ import itertools
 import json
 import math
 import multiprocessing
+import os
+import subprocess
+import sys
+import textwrap
 import time
 
 import numpy as np
 import pytest
 
+import rashpdp
 from rashpdp import parallel
 from rashpdp.cli import main
 from rashpdp.data import save_csv, split
@@ -193,6 +198,43 @@ def test_knn_neighbour_count_above_the_training_rows_is_clamped(weights):
     above = KNearestNeighborsRegression(25, weights).fit(X, y)
     equal = KNearestNeighborsRegression(9, weights).fit(X, y)
     assert above.predict_many(queries).tobytes() == equal.predict_many(queries).tobytes()
+
+
+def _fresh_interpreter(code: str, **env: str) -> str:
+    """What a new interpreter that imports this rashpdp prints running `code`,
+    with OPENBLAS_NUM_THREADS unset unless `env` sets it."""
+    environ = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    src = os.path.dirname(os.path.dirname(rashpdp.__file__))
+    path = os.environ.get("PYTHONPATH")
+    environ["PYTHONPATH"] = src + (os.pathsep + path if path else "")
+    environ.update(env)
+    done = subprocess.run([sys.executable, "-c", code], env=environ, capture_output=True,
+                          text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    return done.stdout.strip()
+
+
+@pytest.mark.parametrize("env, expected", [({}, "1"), ({"OPENBLAS_NUM_THREADS": "3"}, "3")],
+                         ids=["unset", "user's own"])
+def test_import_defaults_to_one_blas_thread(env, expected):
+    code = "import os, rashpdp; print(os.environ['OPENBLAS_NUM_THREADS'])"
+    assert _fresh_interpreter(code, **env) == expected
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/task")
+def test_knn_prediction_runs_on_the_one_python_thread():
+    # OpenBLAS starts its threads when numpy loads it; a 2048-query chunk's
+    # distance product is where more than one would work
+    code = textwrap.dedent("""
+        import os
+        from rashpdp.learners import KNearestNeighborsRegression  # before numpy
+        import numpy as np
+        rng = np.random.default_rng(0)
+        model = KNearestNeighborsRegression().fit(rng.normal(size=(300, 10)), rng.normal(size=300))
+        model.predict_many(rng.normal(size=(2048, 10)))
+        print(len(os.listdir("/proc/self/task")))
+    """)
+    assert _fresh_interpreter(code) == "1"
 
 
 @pytest.mark.parametrize("make, message", [

@@ -237,6 +237,28 @@ def test_predict_grid_equals_tiled_prediction(fitted, data):
     assert [p.tobytes() for p in predictions] == [p.tobytes() for p in tiled_predictions]
 
 
+def test_predict_grid_where_the_rows_own_range_empties_before_its_leaf():
+    # Node 0 and node 1 both test x0. A row with x0 = 1.5 goes left at 0,
+    # keeping the grid point 1.0, and right at 1, where 1.0 goes left: no
+    # grid point is left to follow the row on to node 4 and its leaves.
+    tree = RegressionTree()
+    tree.feature = np.array([0, 0, -1, -1, 1, -1, -1])
+    tree.threshold = np.array([1.75, 1.25, 0.0, 0.0, 0.5, 0.0, 0.0])
+    tree.left = np.array([1, 3, -1, -1, 5, -1, -1])
+    tree.right = np.array([2, 4, -1, -1, 6, -1, -1])
+    tree.value = np.array([0.0, 0.0, 10.0, 20.0, 0.0, 30.0, 40.0])
+    base = np.array([[1.5, 0.0], [1.5, 1.0], [0.0, 1.0], [3.0, 0.0], [1.0, 2.0]])
+    grids = {0: np.array([1.0, 2.0]), 1: np.array([0.0])}  # x1's is a one-point grid
+    expected = []
+    for j, grid in grids.items():
+        tiled = np.tile(base, (grid.size, 1))
+        tiled[:, j] = np.repeat(grid, base.shape[0])
+        expected.append(_walked(tree, tiled))
+    predictions = tree.predict_grid(base, grids)
+    assert [p.tobytes() for p in predictions] == [p.tobytes() for p in expected]
+    assert predictions[0][:2].tolist() == [20.0, 20.0]  # grid point 1.0 for both x0 = 1.5 rows
+
+
 @COMMON
 @given(fitted=tree_models(), values=st.lists(st.floats(-1.0, 8.0), max_size=6))
 def test_predict_many_equals_per_row_walk(fitted, values):
