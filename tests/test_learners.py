@@ -138,6 +138,14 @@ def test_tree_families_reject_nan_in_x_naming_its_column(make_model):
         make_model().fit(X, y)
 
 
+@pytest.mark.parametrize("max_features", [None, 1])
+def test_grow_refuses_an_rng_that_is_not_a_generator(max_features):
+    # a RandomState draws by another algorithm than Generator.choice
+    X, y = np.random.default_rng(1).normal(size=(20, 3)), np.arange(20.0)
+    with pytest.raises(TypeError, match="numpy.random.Generator, got RandomState"):
+        RegressionTree(max_features=max_features).fit(X, y, np.random.RandomState(0))
+
+
 class TestRegressionTree:
     def test_stump_finds_the_obvious_split(self):
         X = np.array([[0.0], [1.0], [2.0], [3.0]])

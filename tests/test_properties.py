@@ -16,7 +16,7 @@ from rashpdp.learners.boosting import BOOSTING_MIN_SAMPLES_LEAF
 from rashpdp.learners import forest as forest_module
 from rashpdp.learners.forest import FOREST_MAX_DEPTH, FOREST_MIN_SAMPLES_LEAF, MAX_FEATURES
 from rashpdp.learners.knn import _QUERY_CHUNK
-from rashpdp.learners.tree import GRID_CHUNK, grow, rank
+from rashpdp.learners.tree import GRID_CHUNK, FeatureDraws, grow, rank
 from rashpdp.metrics import coverage_rate, mwci
 from rashpdp.pdp import RashomonPdpResult, bootstrap_bands
 from rashpdp.rashomon import form_set
@@ -303,7 +303,7 @@ def tree_fits(draw):
 
 @COMMON
 @given(case=tree_fits())
-def test_presorted_fit_equals_per_node_grower(case):
+def test_tree_bytes_and_rng_state_equal_the_per_node_grower(case):
     tree, X, y, seed = case
     rng, oracle_rng = np.random.default_rng(seed), np.random.default_rng(seed)
     oracle = fit_per_node(copy.copy(tree), X, y, oracle_rng)
@@ -311,6 +311,144 @@ def test_presorted_fit_equals_per_node_grower(case):
     for name in RegressionTree.FITTED:
         assert getattr(grown, name).tobytes() == getattr(oracle, name).tobytes(), name
     assert rng.random() == oracle_rng.random()
+
+
+def same_state(a, b):
+    """Two `bit_generator.state` dicts hold the same values, arrays included."""
+    assert a.keys() == b.keys()
+    for key in a:
+        if isinstance(a[key], dict):
+            same_state(a[key], b[key])
+        else:
+            assert np.array_equal(a[key], b[key]), key
+
+
+BIT_GENERATORS = [np.random.PCG64, np.random.MT19937, np.random.Philox, np.random.SFC64]
+
+
+def generators(bit_generator, seed, n):
+    """Two Generators of each of n streams, each stream after an odd number of
+    32-bit outputs, so that one with a 64-bit word holds half of it."""
+    pairs = []
+    for k in range(n):
+        rngs = [np.random.Generator(bit_generator(seed + k)) for _ in range(2)]
+        for rng in rngs:
+            rng.integers(0, 1 << 32, size=2 * k + 1, dtype=np.uint32)
+        pairs.append(rngs)
+    return zip(*pairs)
+
+
+def check_draws(rngs, oracle_rngs, p, d, groups):
+    """FeatureDraws over `groups` of tree numbers, one call each, against
+    np.sort(Generator.choice) per tree in the same order, and each rng's
+    state after `close` against its oracle's."""
+    draws = FeatureDraws(list(rngs), p, d)
+    for group in groups:
+        expected = [np.sort(oracle_rngs[t].choice(p, d, replace=False)) for t in group]
+        assert draws(group).tolist() == np.array(expected).tolist(), (p, d, group)
+    draws.close()
+    for rng, oracle in zip(rngs, oracle_rngs):
+        same_state(rng.bit_generator.state, oracle.bit_generator.state)
+
+
+@pytest.mark.parametrize("bit_generator", BIT_GENERATORS, ids=lambda b: b.__name__)
+def test_feature_draws_equal_sorted_choice_and_its_rng_state(bit_generator):
+    # every d < p up to 64 features, and both sides of numpy's switch from
+    # Floyd's sample to its tail shuffle: (10 001, 200) is Floyd's, 201 is not
+    cases = [(p, d) for p in range(2, 65) for d in range(1, p)] + [(10_001, 200), (10_001, 201)]
+    for p, d in cases:
+        rngs, oracle_rngs = generators(bit_generator, p * 100 + d, 2)
+        check_draws(rngs, oracle_rngs, p, d, [[1, 0], [1], [0, 1]])
+
+
+@pytest.mark.parametrize("p, d", [(10, 3), (50, 7), (3, 1)])
+def test_feature_draws_across_blocks_and_a_shared_rng_equal_choice(p, d):
+    # 200 calls cross several blocks made ahead; trees 1 and 3 share one
+    # Generator, and tree 4 has another on tree 2's bit generator: each
+    # stream draws in the order of the calls
+    rngs, oracle_rngs = (list(side) for side in generators(np.random.PCG64, p, 3))
+    for side in rngs, oracle_rngs:
+        side += [side[1], np.random.Generator(side[2].bit_generator)]
+    order = np.random.default_rng(d)
+    groups = [sorted(order.choice(5, size=order.integers(1, 6), replace=False).tolist())
+              for _ in range(200)]
+    check_draws(rngs, oracle_rngs, p, d, groups)
+
+
+def rejecting_mt19937(at):
+    """An MT19937 Generator whose output `at` is 0, which Lemire rejects for
+    a range of 3: choice(3, 1) reads one more output there."""
+    rng = np.random.Generator(np.random.MT19937(7))
+    rng.integers(0, 1 << 32, size=2, dtype=np.uint32)  # past its first twist: pos is 1
+    state = rng.bit_generator.state
+    state["state"]["key"][state["state"]["pos"] + at] = 0
+    rng.bit_generator.state = state
+    return rng
+
+
+class CountingGenerator(np.random.Generator):
+    """A Generator that counts its `choice` calls."""
+
+    choices = 0
+
+    def choice(self, *args, **kwargs):
+        self.choices += 1
+        return super().choice(*args, **kwargs)
+
+
+@pytest.mark.parametrize("p, d, calls", [(12, 4, 0), (10_001, 200, 0), (10_001, 201, 2)])
+def test_feature_draws_call_choice_only_for_its_tail_shuffle(p, d, calls):
+    rng = CountingGenerator(np.random.PCG64(p + d))
+    draws = FeatureDraws([rng], p, d)
+    draws([0])
+    draws([0])
+    draws.close()
+    assert rng.choices == calls
+
+
+# The output that is 0 is the value at `offset` of draw `draw` of block `block`
+# of draws made ahead, where its range is 3. A draw reads values of ranges 3
+# at (3, 1); 2, 3, 2 at (3, 2); and 3, 4, 5, 3, 2 at (5, 3), the last two for
+# the shuffle.
+@pytest.mark.parametrize("p, d, block, draw, offset", [
+    (3, 1, 0, 0, 0),  # the first draw
+    (3, 1, 0, -1, 0),  # the last one of the first block
+    (3, 1, 1, 5, 0),  # one of the next block
+    (3, 2, 0, 1, 1),  # Floyd's second value of the second draw
+    (5, 3, 0, 0, 3),  # the shuffle's first value
+    (5, 3, 1, 0, 0),  # the first draw of the next block
+])
+def test_feature_draws_redraw_a_rejected_output(p, d, block, draw, offset):
+    ahead = FeatureDraws([np.random.default_rng(0)], p, d).ahead
+    at = (block * ahead + draw % ahead) * (2 * d - 1) + offset
+    # two trees, each with its own such rng, so one block holds two rejections
+    rngs, oracles = ([rejecting_mt19937(at) for _ in range(2)] for _ in range(2))
+    assert int(copy.deepcopy(oracles[0]).integers(0, 1 << 32, size=at + 1, dtype=np.uint32)[-1]) == 0
+    check_draws(rngs, oracles, p, d, [[0, 1]] * (2 * ahead + 10))
+
+
+def test_tree_with_a_rejected_output_equals_the_per_node_grower():
+    X = np.random.default_rng(2).normal(size=(40, 3))
+    y = X @ [1.0, -2.0, 0.5]
+    rng, oracle_rng = rejecting_mt19937(0), rejecting_mt19937(0)
+    grown = RegressionTree(max_depth=4, max_features=1).fit(X, y, rng)
+    same_trees(grown, fit_per_node(RegressionTree(max_depth=4, max_features=1), X, y, oracle_rng))
+    same_state(rng.bit_generator.state, oracle_rng.bit_generator.state)
+
+
+def test_growth_that_raises_leaves_the_rng_where_the_per_node_grower_does():
+    # (Σy)² of the three large targets overflows where Σy² does not: both
+    # growers draw the root's candidates and raise while scoring them
+    X = np.random.default_rng(3).normal(size=(30, 4))
+    y = np.zeros(30)
+    y[:3] = 5e153
+    rng, oracle_rng = np.random.default_rng(4), np.random.default_rng(4)
+    with np.errstate(over="raise"):
+        with pytest.raises(FloatingPointError):
+            RegressionTree(max_features=2).fit(X, y, rng)
+        with pytest.raises(FloatingPointError):
+            fit_per_node(RegressionTree(max_features=2), X, y, oracle_rng)
+    same_state(rng.bit_generator.state, oracle_rng.bit_generator.state)
 
 
 @COMMON
