@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import functools
 import inspect
+import itertools
 import json
 import math
 import os
@@ -49,14 +50,15 @@ def from_state(cls: type, state: Any) -> Any:
 
 
 def _decode(value: Any, kind: Any) -> Any:
+    """A field's value as its `kind`; an array `load_pool` parsed is of its kind already."""
     if kind is float:
         value = float(value)
-    elif not isinstance(value, list):
+    elif not isinstance(value, (list, np.ndarray)):
         raise ValueError(f"expected a list, got {type(value).__name__}")
     elif not issubclass(kind, np.number):
         return [from_state(kind, part) for part in value]
-    elif kind is np.intp and not set(map(type, value)) <= {int}:  # no 1.5, "2" or true
-        bad = next(v for v in value if type(v) is not int)
+    elif kind is np.intp and isinstance(value, list) and not set(map(type, value)) <= {int}:
+        bad = next(v for v in value if type(v) is not int)  # no 1.5, "2" or true
         raise ValueError(f"expected integers, got {bad!r}")
     else:
         value = np.asarray(value, dtype=kind)
@@ -122,7 +124,7 @@ def load_pool(path: str | os.PathLike[str]) -> list[TrainedModel]:
     hyperparameters are not its state's, raises ValueError naming the path,
     its index and the field."""
     with open(os.fspath(path), "r", encoding="utf-8") as fh:
-        payload = json.load(fh)
+        payload = json.load(fh, object_pairs_hook=_parse_arrays)
     if not isinstance(payload, dict) or payload.get("format") != ARCHIVE_FORMAT:
         raise ValueError(f"{path} is not a model-pool archive")
     if payload.get("version") != ARCHIVE_VERSION:
@@ -155,6 +157,52 @@ def load_pool(path: str | os.PathLike[str]) -> list[TrainedModel]:
         except (TypeError, ValueError) as exc:
             raise ValueError(f"pool archive {path}: model {index}: {exc}") from None
     return pool
+
+
+@functools.cache
+def _array_kinds() -> dict[str, type]:
+    """The key and dtype of every `FITTED` array field of the classes an
+    archive holds: the families' model classes and the models they nest."""
+    kinds: dict[str, type] = {}
+    classes = [family.model_class for family in REGISTRY.values()]
+    while classes:
+        for _, key, kind in _fields(classes.pop())[1]:
+            if kind is float:
+                continue
+            if issubclass(kind, np.number):
+                kinds[key] = kind
+            else:
+                classes.append(kind)
+    return kinds
+
+
+def _parse_arrays(pairs: list[tuple[str, Any]]) -> dict[str, Any]:
+    """`json.load`'s object hook: each JSON object as a dict, with a value
+    under an array field's key made that field's array as soon as the object
+    closes, so a pool is held as its archive's text and its arrays, not as a
+    Python object per number. Only a list that `_decode` would turn into the
+    same array is converted: for an integer field, integers that fit it; for
+    a float field, floats, or rows of floats of one length. Any other value
+    stays as parsed, for `_decode` to accept or reject as it would."""
+    obj = dict(pairs)
+    for key, kind in _array_kinds().items():
+        value = obj.get(key)
+        if type(value) is not list:
+            continue
+        if kind is np.intp:
+            numbers, scalar = value, int
+        elif value and all(type(row) is list for row in value):
+            if len(set(map(len, value))) != 1:
+                continue
+            numbers, scalar = itertools.chain.from_iterable(value), float
+        else:
+            numbers, scalar = value, float
+        if set(map(type, numbers)) <= {scalar}:
+            try:
+                obj[key] = np.array(value, dtype=kind)
+            except OverflowError:  # an integer past the field's dtype
+                pass
+    return obj
 
 
 def check_scores(pool: list[TrainedModel], ds: Dataset, sp: Split,

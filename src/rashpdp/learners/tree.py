@@ -392,6 +392,9 @@ def grow(trees: list[RegressionTree], X: np.ndarray, y: np.ndarray, rngs: list,
     key = np.empty((p, N + 1), dtype=np.min_scalar_type(~(n << shift | N)))
     key[:, :N] = ranks.reshape(p, N) << shift | np.arange(N)
     key[:, N] = n << shift | N
+    # Copied into XT, ysq and key: a caller's gathered X[rows] and ranks, two
+    # of a forest unit's largest arrays, need not live through its growth.
+    del X, y, ranks
     fitted = np.empty(N) if predict else None
     nodes = [([-1], [0.0], [-1], [-1], [0.0]) for _ in range(T)]  # as RegressionTree.FITTED
     stacks = [[] for _ in range(T)]

@@ -12,6 +12,7 @@ import subprocess
 import sys
 import textwrap
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -206,6 +207,22 @@ def test_knn_neighbour_count_above_the_training_rows_is_clamped(weights):
     above = KNearestNeighborsRegression(25, weights).fit(X, y)
     equal = KNearestNeighborsRegression(9, weights).fit(X, y)
     assert above.predict_many(queries).tobytes() == equal.predict_many(queries).tobytes()
+
+
+def test_knn_prediction_holds_about_one_chunk_product():
+    # The distances of a chunk are one product written in place; neighbours
+    # are selected in row blocks of it. Whole-chunk temporaries took 3x.
+    rng = np.random.default_rng(2)
+    model = KNearestNeighborsRegression(5, "inverse_distance").fit(
+        rng.normal(size=(750, 10)), rng.normal(size=750))
+    queries = rng.normal(size=(4096, 10))
+    tracemalloc.start()
+    try:
+        model.predict_many(queries)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * 2048 * 750 * 8
 
 
 def _fresh_interpreter(code: str, **env: str) -> str:

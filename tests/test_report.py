@@ -522,6 +522,10 @@ class TestCli:
         "bool child": (lambda p: p["models"][1]["state"]["left"].__setitem__(0, True),
                        "pool archive {path}: model 1: "
                        "RegressionTree field 'left': expected integers, got True"),
+        "float children": (lambda p: p["models"][1]["state"].update(
+                               left=[float(v) for v in p["models"][1]["state"]["left"]]),
+                           "pool archive {path}: model 1: "
+                           "RegressionTree field 'left': expected integers, got 1.0"),
         "huge child": (lambda p: p["models"][1]["state"]["left"].__setitem__(0, 2**70),
                        "pool archive {path}: model 1: RegressionTree field 'left': "),
         "list family": (lambda p: p["models"][0].update(family=["LinearRidge"]),
@@ -556,6 +560,10 @@ class TestCli:
         "unknown hyperparameter": (lambda p: p["models"][0]["hyperparameters"].update(bogus=1),
                                    "pool archive {path}: model 0: key 'hyperparameters' "
                                    "has 'bogus', which LinearRidge does not draw"),
+        "hyperparameter named like an array field": (
+            lambda p: p["models"][0]["hyperparameters"].update(coef=[1.0, 2.0]),
+            "pool archive {path}: model 0: key 'hyperparameters' "
+            "has 'coef', which LinearRidge does not draw"),
         "missing hyperparameter": (lambda p: p["models"][1]["hyperparameters"].__delitem__("max_depth"),
                                    "pool archive {path}: model 1: key 'hyperparameters' "
                                    "lacks 'max_depth', which DecisionTree draws"),
@@ -587,6 +595,9 @@ class TestCli:
         "ridge coef longer": (0, lambda s: s["coef"].append(1.0),
                               "RidgeRegression field 'center': shape (3,), "
                               "expected (4,) to match 'coef'"),
+        "ridge coef empty": (0, lambda s: s.update(coef=[]),
+                             "RidgeRegression field 'center': shape (3,), "
+                             "expected (0,) to match 'coef'"),
         "ridge scale shorter": (0, lambda s: s["scale"].pop(),
                                 "RidgeRegression field 'scale': shape (2,), "
                                 "expected (3,) to match 'coef'"),
@@ -595,6 +606,9 @@ class TestCli:
         "knn train_z not a matrix": (1, lambda s: s.update(train_z=s["train_z"][0]),
                                      "KNearestNeighborsRegression field 'train_z': "
                                      "shape (3,), expected a matrix"),
+        "knn train_z ragged": (1, lambda s: s["train_z"][0].pop(),
+                               "KNearestNeighborsRegression field 'train_z': "
+                               "setting an array element with a sequence"),
         "knn train_y doubled": (1, lambda s: s["train_y"].extend(s["train_y"]),
                                 "KNearestNeighborsRegression field 'train_y': shape (180,), "
                                 "expected (90,) to match 'train_z'"),
