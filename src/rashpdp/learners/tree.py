@@ -160,15 +160,16 @@ class FeatureDraws:
     unless one is rejected (for small k, about one output in 10**9).
 
     The draws do not depend on the data, so each rng's are made ahead, 64
-    at a time, for every rng that needs them at once: its outputs are read
-    through `integers(0, 2**32, dtype=np.uint32)`, which is the stream
-    `choice` reads (`random_raw` is not: it skips PCG64's buffered
+    at a time, for every rng that needs them at once: a block is read as
+    raw outputs through `integers(0, 2**32, dtype=np.uint32)`, which is the
+    stream `choice` reads (`random_raw` is not: it skips PCG64's buffered
     half-word), and Floyd's steps run as numpy operations over all the
-    draws. A rejected output ends its rng's block there, and that draw is
-    made again one output at a time. Each rng is put back where its block
-    starts once the block is read, and moved past the block's draws when
-    they are all taken, or by `close` past those taken, so nothing is kept
-    to restore it."""
+    draws. The rng's state is kept from the start of its block: a block
+    that holds a rejected output is drawn again from there by
+    `Generator.integers` with the draws' bounds, numpy's own Lemire with
+    rejection, the routine `choice` runs. `close` returns each rng with a
+    part-taken block to the block's start and reads the draws taken
+    again, as the block was read."""
 
     def __init__(self, rngs: list[np.random.Generator], p: int, d: int):
         self.p, self.d = p, d
@@ -179,30 +180,25 @@ class FeatureDraws:
         self.floyd = p <= 10_000 or d <= p // 50
         if not self.floyd:
             return
-        self.width = 2 * d - 1
         # Floyd's ranges j + 1, then the shuffle's i + 1, and the low words
         # below which each value is rejected
         self.bound = np.concatenate([np.arange(p - d + 1, p + 1),
                                      np.arange(d, 1, -1)]).astype(np.uint64)
         self.reject = ((1 << 32) % self.bound).astype(np.uint32)
         # Draws made ahead per rng. The `train` benchmark forest's trees take
-        # 61 on average and 66 at most. In process (least of 3 fits, on a
-        # shared 2-core host that timed them within ±40 %), its draws took
-        # 20-36 ms made 32 ahead and 18-31 ms made 64 ahead, where its
-        # `rng.choice` calls took 135 ms; on the bundled data's 750 training
-        # rows 108-142 and 72-130 ms.
+        # 61 on average and 66 at most. In process, 40 alternating pairs on a
+        # 2-core x86 host, 32 ahead took longer than 64: +0.97 ms (paired
+        # median) of 139 ms for a 116-tree `train` forest unit on 225 rows,
+        # +2.5 ms of 170 ms for 34 trees on the bundled data's 750 training
+        # rows, and 7.9 against 7.5 ms for 116 rngs' 66 draws alone.
         self.ahead = 64
         n = len(self.rngs)
         # each rng's draws made, in the least type that holds p: in a forest
         # unit it lives as long as the growth
         self.table = np.empty((n, self.ahead, d), dtype=np.min_scalar_type(p))
-        self.made = [0] * n  # draws in its row of the table
-        self.taken = [0] * n  # of which taken
-        # In counts of the rng's outputs: where its row's first draw starts,
-        # which is where the rng stands between calls, and where its last
-        # one ends.
-        self.start = [0] * n
-        self.end = [0] * n
+        self.taken = [self.ahead] * n  # draws of its row taken: none made yet
+        self.start: list[dict | None] = [None] * n  # its state where its row's block starts
+        self.redrawn = [False] * n  # whether that block was drawn again with bounds
 
     def __call__(self, trees: list[int]) -> np.ndarray:
         """Each tree's sorted candidates, one row per tree, in `trees` order."""
@@ -212,7 +208,7 @@ class FeatureDraws:
         sources = [self.source[t] for t in trees]
         if len(set(sources)) < len(sources):  # a shared rng: one tree at a time
             return np.concatenate([self([t]) for t in trees])
-        empty = [s for s in sources if self.taken[s] == self.made[s]]
+        empty = [s for s in sources if self.taken[s] == self.ahead]
         if empty:
             self._make(empty)
         at = [self.taken[s] for s in sources]
@@ -222,28 +218,29 @@ class FeatureDraws:
 
     def _make(self, sources: list[int]) -> None:
         """Fill these rngs' rows of the table with each one's next draws."""
-        w, ahead = self.width, self.ahead
+        ahead, w = self.ahead, len(self.bound)
         blocks = np.empty((len(sources), ahead * w), dtype=np.uint32)
         for i, s in enumerate(sources):
-            self._skip(s, self.end[s] - self.start[s])  # past the row's draws, all taken
-            self.start[s] = self.end[s]
-            blocks[i] = self._read(s, 0, ahead * w)
-            self.end[s] += ahead * w
-            self.made[s], self.taken[s] = ahead, 0
+            rng = self.rngs[s]
+            self.start[s] = rng.bit_generator.state
+            blocks[i] = rng.integers(0, 1 << 32, size=ahead * w, dtype=np.uint32)
+            self.taken[s], self.redrawn[s] = 0, False
         # Each array is freed when its last use ends and Floyd's steps run in
         # 32 bits: a forest worker's memory peaks at the end of its growth,
         # and the first blocks' temporaries raised that peak by 0.3 MB.
         product = blocks.reshape(-1, w) * self.bound
-        rejected = (product.astype(np.uint32) < self.reject).any(1).reshape(len(sources), ahead)
+        rejected = (product.astype(np.uint32) < self.reject).reshape(len(sources), -1).any(1)
         product >>= 32
         values = product[:, :self.d].astype(np.int32)
         del product
+        for i in np.flatnonzero(rejected).tolist():
+            s = sources[i]
+            rng = self.rngs[s]
+            rng.bit_generator.state = self.start[s]
+            redraw = rng.integers(0, np.tile(self.bound, ahead), dtype=np.uint32)
+            values[i * ahead:(i + 1) * ahead] = redraw.reshape(ahead, w)[:, :self.d]
+            self.redrawn[s] = True
         self.table[sources] = self._floyd(values).reshape(len(sources), ahead, -1)
-        for i in np.flatnonzero(rejected.any(1)).tolist():
-            s, first = sources[i], int(rejected[i].argmax())
-            self.table[s, first], used = self._one(s, blocks[i].tolist(), first * w)
-            self.made[s] = first + 1
-            self.end[s] = self.start[s] + used
 
     def _floyd(self, v: np.ndarray) -> np.ndarray:
         """Floyd's samples, sorted, one a row, from each row's values v[:, k]
@@ -270,52 +267,18 @@ class FeatureDraws:
         v.sort(1)
         return v
 
-    def _one(self, s: int, outputs: list[int], used: int) -> tuple[list[int], int]:
-        """One draw, sorted, made one output at a time as `choice` makes it
-        from `outputs[used:]`, rng s's outputs from its row's start, which it
-        extends as it needs; and where in them it ends."""
-        p, d = self.p, self.d
-
-        def value(k: int) -> int:  # Lemire's value in [0, k)
-            nonlocal used
-            while True:
-                if used == len(outputs):
-                    outputs.extend(self._read(s, used, self.width).tolist())
-                product = outputs[used] * k
-                used += 1
-                if product & 0xFFFFFFFF >= (1 << 32) % k:
-                    return product >> 32
-
-        taken: set[int] = set()
-        for j in range(p - d, p):
-            v = value(j + 1)
-            taken.add(j if v in taken else v)
-        for i in range(d - 1, 0, -1):
-            value(i + 1)
-        return sorted(taken), used
-
-    def _read(self, s: int, skip: int, size: int) -> np.ndarray:
-        """`size` outputs of rng s after the first `skip` from where it stands,
-        leaving it there."""
-        rng = self.rngs[s]
-        state = rng.bit_generator.state
-        self._skip(s, skip)
-        outputs = rng.integers(0, 1 << 32, size=size, dtype=np.uint32)
-        rng.bit_generator.state = state
-        return outputs
-
-    def _skip(self, s: int, size: int) -> None:
-        """Move rng s on by `size` outputs."""
-        if size:
-            self.rngs[s].integers(0, 1 << 32, size=size, dtype=np.uint32)
-
     def close(self) -> None:
         """Leave each rng where `choice` would have: past the draws taken."""
         if not self.floyd:
             return
         for s, taken in enumerate(self.taken):
-            self._skip(s, self.end[s] - self.start[s] if taken == self.made[s]
-                       else taken * self.width)
+            if taken < self.ahead:  # it stands at its block's end
+                rng = self.rngs[s]
+                rng.bit_generator.state = self.start[s]
+                if self.redrawn[s]:
+                    rng.integers(0, np.tile(self.bound, taken), dtype=np.uint32)
+                else:
+                    rng.integers(0, 1 << 32, size=taken * len(self.bound), dtype=np.uint32)
 
 
 def grow(trees: list[RegressionTree], X: np.ndarray, y: np.ndarray, rngs: list,

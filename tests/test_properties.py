@@ -338,11 +338,14 @@ def generators(bit_generator, seed, n):
     return zip(*pairs)
 
 
-def check_draws(rngs, oracle_rngs, p, d, groups):
+def check_draws(rngs, oracle_rngs, p, d, groups, reject=None):
     """FeatureDraws over `groups` of tree numbers, one call each, against
     np.sort(Generator.choice) per tree in the same order, and each rng's
-    state after `close` against its oracle's."""
+    state after `close` against its oracle's. A `reject` low word sets the
+    threshold below which the draws find each output rejected."""
     draws = FeatureDraws(list(rngs), p, d)
+    if reject is not None:
+        draws.reject[:] = reject
     for group in groups:
         expected = [np.sort(oracle_rngs[t].choice(p, d, replace=False)) for t in group]
         assert draws(group).tolist() == np.array(expected).tolist(), (p, d, group)
@@ -417,6 +420,8 @@ def test_feature_draws_call_choice_only_for_its_tail_shuffle(p, d, calls):
     (3, 2, 0, 1, 1),  # Floyd's second value of the second draw
     (5, 3, 0, 0, 3),  # the shuffle's first value
     (5, 3, 1, 0, 0),  # the first draw of the next block
+    (3, 1, 2, 3, 0),  # one of the block that `close` finds part-taken
+    (3, 2, 2, 3, 1),  # Floyd's second value of a draw of that block
 ])
 def test_feature_draws_redraw_a_rejected_output(p, d, block, draw, offset):
     ahead = FeatureDraws([np.random.default_rng(0)], p, d).ahead
@@ -425,6 +430,18 @@ def test_feature_draws_redraw_a_rejected_output(p, d, block, draw, offset):
     rngs, oracles = ([rejecting_mt19937(at) for _ in range(2)] for _ in range(2))
     assert int(copy.deepcopy(oracles[0]).integers(0, 1 << 32, size=at + 1, dtype=np.uint32)[-1]) == 0
     check_draws(rngs, oracles, p, d, [[0, 1]] * (2 * ahead + 10))
+
+
+@pytest.mark.parametrize("p, d", [(10, 3), (50, 7), (3, 1)])
+@pytest.mark.parametrize("bit_generator", BIT_GENERATORS, ids=lambda b: b.__name__)
+def test_feature_draws_redrawn_blocks_equal_choice_on_every_bit_generator(bit_generator, p, d):
+    # with the threshold at the top low word, every block holds an output
+    # found rejected and is drawn again through Generator.integers, and
+    # `close` reads each part-taken block's draws again through it: trees 0,
+    # 1 and 2 take 120, 60 and 180 draws
+    rngs, oracle_rngs = generators(bit_generator, p * 100 + d, 3)
+    check_draws(rngs, oracle_rngs, p, d, [[0, 1, 2], [2], [0, 2]] * 60,
+                reject=np.iinfo(np.uint32).max)
 
 
 def test_tree_with_a_rejected_output_equals_the_per_node_grower():
