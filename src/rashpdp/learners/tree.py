@@ -154,22 +154,16 @@ class FeatureDraws:
     sample: for j from p - d to p - 1 it draws v in [0, j] and takes v, or
     j if v is taken already. A Fisher-Yates shuffle of the d values
     follows, one value in [0, i] for i from d - 1 down to 1, which the sort
-    undoes: those are read and not used. A value in [0, k) is Lemire's:
-    the high word of u·k, u the generator's next 32-bit output, drawn again
-    while the low word is below 2**32 mod k. So a draw reads 2d - 1 outputs
-    unless one is rejected (for small k, about one output in 10**9).
+    undoes: those are drawn and not used. Each value is a bounded integer
+    of `Generator.integers`, so a draw is one `integers` call with these
+    2d - 1 bounds, j + 1 then i + 1, which reads the outputs `choice` reads.
 
     The draws do not depend on the data, so each rng's are made ahead, 64
-    at a time, for every rng that needs them at once: a block is read as
-    raw outputs through `integers(0, 2**32, dtype=np.uint32)`, which is the
-    stream `choice` reads (`random_raw` is not: it skips PCG64's buffered
-    half-word), and Floyd's steps run as numpy operations over all the
-    draws. The rng's state is kept from the start of its block: a block
-    that holds a rejected output is drawn again from there by
-    `Generator.integers` with the draws' bounds, numpy's own Lemire with
-    rejection, the routine `choice` runs. `close` returns each rng with a
-    part-taken block to the block's start and reads the draws taken
-    again, as the block was read."""
+    at a time, for every rng that needs them at once: one `integers` call
+    with the bounds tiled 64 times, and Floyd's steps as numpy operations
+    over all the draws. The rng's state is kept from the start of its
+    block: `close` returns each rng with a part-taken block there and draws
+    the bounds of the draws taken again."""
 
     def __init__(self, rngs: list[np.random.Generator], p: int, d: int):
         self.p, self.d = p, d
@@ -180,25 +174,22 @@ class FeatureDraws:
         self.floyd = p <= 10_000 or d <= p // 50
         if not self.floyd:
             return
-        # Floyd's ranges j + 1, then the shuffle's i + 1, and the low words
-        # below which each value is rejected
-        self.bound = np.concatenate([np.arange(p - d + 1, p + 1),
-                                     np.arange(d, 1, -1)]).astype(np.uint64)
-        self.reject = ((1 << 32) % self.bound).astype(np.uint32)
         # Draws made ahead per rng. The `train` benchmark forest's trees take
         # 61 on average and 66 at most. In process, 40 alternating pairs on a
-        # 2-core x86 host, 32 ahead took longer than 64: +0.97 ms (paired
-        # median) of 139 ms for a 116-tree `train` forest unit on 225 rows,
-        # +2.5 ms of 170 ms for 34 trees on the bundled data's 750 training
-        # rows, and 7.9 against 7.5 ms for 116 rngs' 66 draws alone.
+        # shared 2-core x86 host, 32 ahead took longer than 64: +3.9 ms (paired
+        # median) of 208 ms for a 116-tree `train` forest unit on 225 rows,
+        # +5.4 ms of 229 ms for 34 trees on the bundled data's 750 training
+        # rows, and 16.2 against 13.7 ms for 116 rngs' 66 draws alone.
         self.ahead = 64
+        # a block's bounds: Floyd's ranges j + 1, then the shuffle's i + 1
+        self.bounds = np.tile(np.concatenate([np.arange(p - d + 1, p + 1),
+                                              np.arange(d, 1, -1)]), self.ahead).astype(np.uint32)
         n = len(self.rngs)
         # each rng's draws made, in the least type that holds p: in a forest
         # unit it lives as long as the growth
         self.table = np.empty((n, self.ahead, d), dtype=np.min_scalar_type(p))
         self.taken = [self.ahead] * n  # draws of its row taken: none made yet
         self.start: list[dict | None] = [None] * n  # its state where its row's block starts
-        self.redrawn = [False] * n  # whether that block was drawn again with bounds
 
     def __call__(self, trees: list[int]) -> np.ndarray:
         """Each tree's sorted candidates, one row per tree, in `trees` order."""
@@ -218,54 +209,30 @@ class FeatureDraws:
 
     def _make(self, sources: list[int]) -> None:
         """Fill these rngs' rows of the table with each one's next draws."""
-        ahead, w = self.ahead, len(self.bound)
-        blocks = np.empty((len(sources), ahead * w), dtype=np.uint32)
+        ahead, d = self.ahead, self.d
+        # Floyd's values in 32 bits: a forest worker's memory peaks at the
+        # end of its growth, and in 64 bits a 116-tree `train` unit fit's
+        # ru_maxrss growth read 11.30-11.40 MB against 11.06-11.14 MB.
+        values = np.empty((len(sources), ahead, d), dtype=np.int32)
         for i, s in enumerate(sources):
             rng = self.rngs[s]
             self.start[s] = rng.bit_generator.state
-            blocks[i] = rng.integers(0, 1 << 32, size=ahead * w, dtype=np.uint32)
-            self.taken[s], self.redrawn[s] = 0, False
-        # Each array is freed when its last use ends and Floyd's steps run in
-        # 32 bits: a forest worker's memory peaks at the end of its growth,
-        # and the first blocks' temporaries raised that peak by 0.3 MB.
-        product = blocks.reshape(-1, w) * self.bound
-        rejected = (product.astype(np.uint32) < self.reject).reshape(len(sources), -1).any(1)
-        product >>= 32
-        values = product[:, :self.d].astype(np.int32)
-        del product
-        for i in np.flatnonzero(rejected).tolist():
-            s = sources[i]
-            rng = self.rngs[s]
-            rng.bit_generator.state = self.start[s]
-            redraw = rng.integers(0, np.tile(self.bound, ahead), dtype=np.uint32)
-            values[i * ahead:(i + 1) * ahead] = redraw.reshape(ahead, w)[:, :self.d]
-            self.redrawn[s] = True
-        self.table[sources] = self._floyd(values).reshape(len(sources), ahead, -1)
+            values[i] = rng.integers(0, self.bounds, dtype=np.uint32).reshape(ahead, -1)[:, :d]
+            self.taken[s] = 0
+        self.table[sources] = self._floyd(values.reshape(-1, d)).reshape(len(sources), ahead, d)
 
     def _floyd(self, v: np.ndarray) -> np.ndarray:
         """Floyd's samples, sorted, one a row, from each row's values v[:, k]
-        in [0, p - d + k]."""
-        (m, d), first = v.shape, self.p - self.d
-        size = m * d
-        steps = np.arange(d, dtype=np.int32)
-        rows = np.arange(0, size, d, dtype=np.int32)[:, None]
-        # Step k takes its j if its v is taken: drawn by an earlier step, or
-        # the j of an earlier step that took its j. So a step whose v an
-        # earlier step drew links to `size + 1`, yes; one whose v is an
-        # earlier step's j links to that step; any other to `size`, no.
-        # Pointer doubling follows each chain to its end.
-        j_of = v - first
-        link = np.empty(size + 2, dtype=np.int32)
-        link[:size] = np.where((j_of >= 0) & (j_of < steps), j_of + rows, size).ravel()
-        link[size:] = size, size + 1
-        order = v.argsort(1, kind="stable")
-        ordered = np.take_along_axis(v, order, 1)
-        link[(order[:, 1:] + rows)[ordered[:, 1:] == ordered[:, :-1]]] = size + 1
-        for _ in range((d - 1).bit_length()):
-            link = link[link]
-        v = np.where((link[:size] == size + 1).reshape(m, d), steps + first, v)
-        v.sort(1)
-        return v
+        in [0, p - d + k]. Step k takes v[:, k], or p - d + k if its row's
+        mask shows v[:, k] taken: no earlier step can have taken p - d + k."""
+        (m, d), p = v.shape, self.p
+        taken = np.zeros(m * p, dtype=bool)  # row i's mask at [i·p, i·p + p)
+        start = np.arange(0, m * p, p)
+        for k in range(d):
+            at = start + v[:, k]
+            at = np.where(taken[at], start + (p - d + k), at)
+            taken[at] = True
+        return np.flatnonzero(taken).reshape(m, d) - start[:, None]  # each row sorted
 
     def close(self) -> None:
         """Leave each rng where `choice` would have: past the draws taken."""
@@ -275,10 +242,7 @@ class FeatureDraws:
             if taken < self.ahead:  # it stands at its block's end
                 rng = self.rngs[s]
                 rng.bit_generator.state = self.start[s]
-                if self.redrawn[s]:
-                    rng.integers(0, np.tile(self.bound, taken), dtype=np.uint32)
-                else:
-                    rng.integers(0, 1 << 32, size=taken * len(self.bound), dtype=np.uint32)
+                rng.integers(0, self.bounds[:taken * (2 * self.d - 1)], dtype=np.uint32)
 
 
 def grow(trees: list[RegressionTree], X: np.ndarray, y: np.ndarray, rngs: list,

@@ -338,14 +338,11 @@ def generators(bit_generator, seed, n):
     return zip(*pairs)
 
 
-def check_draws(rngs, oracle_rngs, p, d, groups, reject=None):
+def check_draws(rngs, oracle_rngs, p, d, groups):
     """FeatureDraws over `groups` of tree numbers, one call each, against
     np.sort(Generator.choice) per tree in the same order, and each rng's
-    state after `close` against its oracle's. A `reject` low word sets the
-    threshold below which the draws find each output rejected."""
+    state after `close` against its oracle's."""
     draws = FeatureDraws(list(rngs), p, d)
-    if reject is not None:
-        draws.reject[:] = reject
     for group in groups:
         expected = [np.sort(oracle_rngs[t].choice(p, d, replace=False)) for t in group]
         assert draws(group).tolist() == np.array(expected).tolist(), (p, d, group)
@@ -434,14 +431,45 @@ def test_feature_draws_redraw_a_rejected_output(p, d, block, draw, offset):
 
 @pytest.mark.parametrize("p, d", [(10, 3), (50, 7), (3, 1)])
 @pytest.mark.parametrize("bit_generator", BIT_GENERATORS, ids=lambda b: b.__name__)
-def test_feature_draws_redrawn_blocks_equal_choice_on_every_bit_generator(bit_generator, p, d):
-    # with the threshold at the top low word, every block holds an output
-    # found rejected and is drawn again through Generator.integers, and
-    # `close` reads each part-taken block's draws again through it: trees 0,
-    # 1 and 2 take 120, 60 and 180 draws
+def test_feature_draws_blocks_equal_choice_on_every_bit_generator(bit_generator, p, d):
+    # every block is drawn through Generator.integers with the draws'
+    # bounds, and `close` draws each part-taken block's taken bounds again
+    # through it: trees 0, 1 and 2 take 120, 60 and 180 draws
     rngs, oracle_rngs = generators(bit_generator, p * 100 + d, 3)
-    check_draws(rngs, oracle_rngs, p, d, [[0, 1, 2], [2], [0, 2]] * 60,
-                reject=np.iinfo(np.uint32).max)
+    check_draws(rngs, oracle_rngs, p, d, [[0, 1, 2], [2], [0, 2]] * 60)
+
+
+def floyd_one(p, values):
+    """Floyd's sample from one row of values, one step at a time, sorted."""
+    taken = []
+    for j, v in enumerate(values, p - len(values)):
+        assert 0 <= v <= j
+        taken.append(j if v in taken else v)
+    return sorted(taken)
+
+
+# Hand-made rows of Floyd's values v_k in [0, p - d + k], step k's j being
+# p - d + k: each row's steps, and the chains of taken values they follow.
+@pytest.mark.parametrize("p, rows", [
+    (5, [[0], [4], [2]]),  # d = 1: the value itself
+    # d = p - 1: every v_k = v_0; a chain through earlier j's; no value taken twice
+    (5, [[0, 0, 0, 0], [1, 1, 2, 4], [0, 2, 2, 3], [1, 2, 3, 4]]),
+    # v_k an earlier step's v, and v_k an earlier step's j, taken as its v or as its j
+    (10, [[5, 5, 6], [2, 7, 7], [7, 7, 8], [0, 1, 2]]),
+    # chains of length d - 1: each step after the first takes its j, its v
+    # being the previous step's value, or the first step's
+    (8, [[3, 3, 4, 5, 6], [2, 2, 2, 2, 2], [0, 4, 5, 6, 7], [1, 1, 5, 6, 6]]),
+    (2, [[0], [1]]),  # d = 1 = p - 1
+    (3, [[0, 0], [1, 2], [0, 2], [1, 1]]),  # d = 2 = p - 1
+])
+def test_feature_draws_floyd_steps_equal_a_plain_floyd_loop(p, rows):
+    v = np.array(rows, dtype=np.int32)
+    m, d = v.shape
+    got = FeatureDraws([np.random.default_rng(0)], p, d)._floyd(v)
+    assert got.shape == (m, d)
+    for row, values in zip(got.tolist(), rows):
+        assert row == floyd_one(p, values), (p, values)
+        assert row == sorted(set(row)) and all(0 <= x < p for x in row)
 
 
 def test_tree_with_a_rejected_output_equals_the_per_node_grower():
